@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import ReceivedPilot
+if TYPE_CHECKING:
+    # model builds covariance blocks, so covariance may not import it at run time
+    from .model import ReceivedPilot
 
 # relative slack on the determinant check; Cauchy-Schwarz guarantees det >= 0
 # in exact arithmetic, so anything below this is a construction error
@@ -23,17 +26,7 @@ class SampleCovariance:
     r12: complex
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r1) and self.r1 >= 0.0):
-            raise ValueError(f"r1 must be finite and >= 0, got {self.r1}")
-        if not (math.isfinite(self.r2) and self.r2 >= 0.0):
-            raise ValueError(f"r2 must be finite and >= 0, got {self.r2}")
-        if not (math.isfinite(self.r12.real) and math.isfinite(self.r12.imag)):
-            raise ValueError(f"r12 must be finite, got {self.r12}")
-        if self.determinant < -_DET_TOL * max(1.0, self.r1 * self.r2):
-            raise ValueError(
-                f"|r12|^2 = {abs(self.r12) ** 2} exceeds r1*r2 = {self.r1 * self.r2}; "
-                "not a valid sample covariance"
-            )
+        check_entries(self.r1, self.r2, self.r12)
 
     @property
     def trace(self) -> float:
@@ -42,6 +35,42 @@ class SampleCovariance:
     @property
     def determinant(self) -> float:
         return self.r1 * self.r2 - (self.r12.real**2 + self.r12.imag**2)
+
+
+class CovarianceBlock(NamedTuple):
+    """Entries of many sample covariances, element i of each array from trial i.
+
+    The counting schemes read only ``r1``, ``r2`` and ``r12``, so they take a
+    block wherever they take a ``SampleCovariance`` and return arrays.
+    """
+
+    r1: np.ndarray
+    r2: np.ndarray
+    r12: np.ndarray
+
+
+def check_entries(r1, r2, r12) -> None:
+    """Raise ``ValueError`` unless every (r1, r2, r12) is a valid sample covariance.
+
+    Takes scalars or arrays: entries must be finite, r1, r2 >= 0, and the
+    determinant r1*r2 - |r12|^2 at least -1e-12 * max(1, r1*r2).
+    """
+    r1, r2, r12 = np.asarray(r1), np.asarray(r2), np.asarray(r12)
+    for name, values, rule, ok in (
+        ("r1", r1, "finite and >= 0", r1 >= 0.0),
+        ("r2", r2, "finite and >= 0", r2 >= 0.0),
+        ("r12", r12, "finite", True),
+    ):
+        bad = ~(np.isfinite(values) & ok)
+        if bad.any():
+            raise ValueError(f"{name} must be {rule}, got {values[bad][0]}")
+    cross = r12.real**2 + r12.imag**2
+    bad = r1 * r2 - cross < -_DET_TOL * np.maximum(1.0, r1 * r2)
+    if bad.any():
+        raise ValueError(
+            f"|r12|^2 = {cross[bad][0]} exceeds r1*r2 = {(r1 * r2)[bad][0]}; "
+            "not a valid sample covariance"
+        )
 
 
 @dataclass(frozen=True)

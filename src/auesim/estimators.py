@@ -14,6 +14,11 @@ orthogonal scheme correlates the two received symbols directly, and the mle
 scheme is the maximum-likelihood count for the zero-offset model.  The
 ``*_statistic`` functions return these real values; the scheme functions round
 them half away from zero and clamp to the population range [0, n_potential].
+
+Each formula is written once and reads only ``cov.r1``, ``cov.r2`` and
+``cov.r12``, so it takes one ``SampleCovariance`` or a whole
+``CovarianceBlock`` of arrays.  ``estimate_array`` is the batched path the
+simulation runs; ``estimate`` is the same computation on one covariance.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .covariance import SampleCovariance
+import numpy as np
+
+from .covariance import CovarianceBlock, SampleCovariance
 from .model import CfoKind, CfoModel
 
 # below this the eig-diff division by alpha amplifies covariance noise past
@@ -78,65 +85,64 @@ def characteristic_function(cfo: CfoModel) -> float:
     return math.exp(-0.5 * std * std)
 
 
-def _round_half_away_from_zero(x: float) -> int:
-    # round() ties to even, which would bias counts at exact .5 values
-    return math.floor(x + 0.5) if x >= 0.0 else math.ceil(x - 0.5)
+Covariance = SampleCovariance | CovarianceBlock
 
 
-def _clamped_count(value: float, n_potential: int) -> int:
-    return min(max(_round_half_away_from_zero(value), 0), n_potential)
+def _clamped_counts(values, n_potential: int) -> np.ndarray:
+    """Round half away from zero, then clamp to [0, n_potential], elementwise."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValueError("statistic is NaN; cannot round it to a count")
+    whole = np.trunc(values)
+    # x - trunc(x) is exact, whereas x + 0.5 rounds 0.49999999999999994 up to 1;
+    # round() and np.rint tie to even, which would bias counts at exact .5 values
+    rounded = whole + np.sign(values) * (np.abs(values - whole) >= 0.5)
+    return np.clip(rounded, 0, n_potential).astype(np.int64)
 
 
-def eig_sum_statistic(cov: SampleCovariance, ctx: EstimatorContext) -> float:
+def eig_sum_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
     """Half the covariance trace minus the known noise floor."""
     return 0.5 * (cov.r1 + cov.r2) - ctx.noise_variance
 
 
-def eig_diff_statistic(cov: SampleCovariance, ctx: EstimatorContext) -> float:
+def eig_diff_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
     """Half the eigenvalue spread divided by alpha."""
     if ctx.alpha <= ALPHA_MIN:
         raise EstimatorDomainError(
             f"characteristic function too small (alpha = {ctx.alpha:.3e}, "
             f"limit {ALPHA_MIN}); the eig-diff scheme divides by it"
         )
-    spread = math.sqrt((cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2))
+    spread = np.sqrt((cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2))
     return spread / (2.0 * ctx.alpha)
 
 
-def orthogonal_statistic(cov: SampleCovariance, ctx: EstimatorContext) -> float:
+def orthogonal_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
     """Symbol correlation Re(r12), exact in the mean when all offsets are zero."""
     return cov.r12.real
 
 
-def mle_statistic(cov: SampleCovariance, ctx: EstimatorContext) -> float:
+def mle_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
     """Maximum-likelihood count for the zero-offset model, before rounding."""
     return 0.25 * (cov.r1 + cov.r2 + 2.0 * cov.r12.real) - 0.5 * ctx.noise_variance
 
 
 def eig_sum(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return _clamped_count(eig_sum_statistic(cov, ctx), ctx.n_potential)
+    return estimate(Scheme.EIG_SUM, cov, ctx)
 
 
 def eig_diff(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return _clamped_count(eig_diff_statistic(cov, ctx), ctx.n_potential)
+    return estimate(Scheme.EIG_DIFF, cov, ctx)
 
 
 def orthogonal(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return _clamped_count(orthogonal_statistic(cov, ctx), ctx.n_potential)
+    return estimate(Scheme.ORTHOGONAL, cov, ctx)
 
 
 def mle(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return _clamped_count(mle_statistic(cov, ctx), ctx.n_potential)
+    return estimate(Scheme.MLE, cov, ctx)
 
 
-_DISPATCH = {
-    Scheme.EIG_SUM: eig_sum,
-    Scheme.EIG_DIFF: eig_diff,
-    Scheme.ORTHOGONAL: orthogonal,
-    Scheme.MLE: mle,
-}
-
-_STATISTIC_DISPATCH = {
+_STATISTICS = {
     Scheme.EIG_SUM: eig_sum_statistic,
     Scheme.EIG_DIFF: eig_diff_statistic,
     Scheme.ORTHOGONAL: orthogonal_statistic,
@@ -154,14 +160,19 @@ _MULT_COUNTS = {
 }
 
 
+def estimate_array(scheme: Scheme, cov: Covariance, ctx: EstimatorContext) -> np.ndarray:
+    """Integer estimates of one scheme for every covariance in ``cov``, as int64."""
+    return _clamped_counts(_STATISTICS[scheme](cov, ctx), ctx.n_potential)
+
+
 def estimate(scheme: Scheme, cov: SampleCovariance, ctx: EstimatorContext) -> int:
     """Run one scheme on one sample covariance."""
-    return _DISPATCH[scheme](cov, ctx)
+    return int(estimate_array(scheme, cov, ctx))
 
 
 def statistic(scheme: Scheme, cov: SampleCovariance, ctx: EstimatorContext) -> float:
     """Real-valued statistic of one scheme before rounding and clamping."""
-    return _STATISTIC_DISPATCH[scheme](cov, ctx)
+    return float(_STATISTICS[scheme](cov, ctx))
 
 
 def multiplication_count(scheme: Scheme, m_antennas: int) -> int:

@@ -1,13 +1,16 @@
 """Seeded Monte Carlo runner: NRMSE of the counting schemes along one system axis.
 
-Reproducibility contract: trial ``t`` of a point seeded with ``s`` draws all
-its randomness from the substream ``SeedSequence((s, t))``, and a sweep point
-at index ``i`` is seeded with ``point_seed(master_seed, i)``.  Estimates are
-integers, so per-point error sums are exact integer arithmetic; together these
-make every result a pure function of the experiment description, independent
-of worker count and execution order.  Within a trial, one received block and
-one sample covariance are shared by all requested schemes so the comparison
-between schemes is paired.
+Reproducibility contract: the trials of a point are cut into fixed blocks of
+``BLOCK`` consecutive trials, the last one short.  Block ``b`` of a point
+seeded with ``s`` holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` and draws all
+its randomness from the substream ``SeedSequence((s, b))``, in the order
+documented by ``model.sample_wishart``; a sweep point at index ``i`` is seeded
+with ``point_seed(master_seed, i)``.  Workers take whole blocks, and
+estimates are integers, so per-point error sums are exact integer arithmetic;
+together these make every result a pure function of the experiment
+description, independent of worker count and execution order.  Within a
+trial, one sample covariance is shared by all requested schemes so the
+comparison between schemes is paired.
 """
 
 from __future__ import annotations
@@ -17,24 +20,29 @@ import dataclasses
 import enum
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import covariance, model
+from . import model
 from .estimators import (
     EstimatorContext,
     EstimatorDomainError,
     Scheme,
     characteristic_function,
-    estimate,
+    estimate_array,
 )
 from .model import SystemConfig
 from .theory import nrmse_eig_sum_theory
 
 DEFAULT_TRIALS = 20_000
+
+# trials per seeded block; part of the output contract, since changing it
+# changes which substream every trial draws from
+BLOCK = 256
 
 CSV_HEADER = ("axis", "axis_value", "scheme", "nrmse_sim", "nrmse_theory", "trials", "seed")
 
@@ -188,22 +196,23 @@ def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
     return math.sqrt(float(squared.sum()) / arr.size) / k_true
 
 
-def _estimate_chunk(
-    cfg: SystemConfig, schemes: tuple[Scheme, ...], seed: int, start: int, stop: int
+def _estimate_blocks(
+    cfg: SystemConfig, schemes: tuple[Scheme, ...], seed: int, trials: int, first: int, stop: int
 ) -> dict[Scheme, np.ndarray]:
+    """Estimates of blocks ``first`` up to ``stop`` of a ``trials``-trial point."""
     ctx = EstimatorContext(
         noise_variance=cfg.noise_variance,
         alpha=characteristic_function(cfg.cfo),
         n_potential=cfg.n_potential,
     )
-    out = {scheme: np.empty(stop - start, dtype=np.int64) for scheme in schemes}
-    for offset, trial in enumerate(range(start, stop)):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        pilot = model.generate_received(cfg, rng)
-        cov = covariance.sample_covariance(pilot)
+    parts: dict[Scheme, list[np.ndarray]] = {scheme: [] for scheme in schemes}
+    for block in range(first, stop):
+        size = min(BLOCK, trials - block * BLOCK)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+        cov = model.sample_wishart(cfg, size, rng)
         for scheme in schemes:
-            out[scheme][offset] = estimate(scheme, cov, ctx)
-    return out
+            parts[scheme].append(estimate_array(scheme, cov, ctx))
+    return {scheme: np.concatenate(parts[scheme]) for scheme in schemes}
 
 
 def collect_estimates(
@@ -216,21 +225,27 @@ def collect_estimates(
 ) -> dict[Scheme, np.ndarray]:
     """Integer estimates of every scheme over ``trials`` seeded trials.
 
-    Trial ``t`` draws from substream ``(seed, t)`` and every scheme sees the
-    same sample covariance, so outputs are deterministic in ``seed`` and do
-    not depend on ``workers`` or chunk boundaries.
+    Block ``b`` draws from substream ``(seed, b)`` and every scheme sees the
+    same sample covariances, so outputs are deterministic in ``seed`` and do
+    not depend on ``workers``.  At most ``min(workers, blocks, cpu count)``
+    processes run, each on a contiguous range of whole blocks; one means no
+    pool at all.
     """
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("at least one scheme is required")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    blocks = -(-trials // BLOCK)
+    workers = min(workers, blocks, os.cpu_count() or 1)
     if workers <= 1:
-        return _estimate_chunk(cfg, schemes, seed, 0, trials)
-    bounds = [trials * w // workers for w in range(workers + 1)]
-    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [pool.submit(_estimate_chunk, cfg, schemes, seed, lo, hi) for lo, hi in spans]
+        return _estimate_blocks(cfg, schemes, seed, trials, 0, blocks)
+    bounds = [blocks * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_estimate_blocks, cfg, schemes, seed, trials, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
         chunks = [future.result() for future in futures]
     return {scheme: np.concatenate([chunk[scheme] for chunk in chunks]) for scheme in schemes}
 

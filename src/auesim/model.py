@@ -10,6 +10,15 @@ with channel rows h_n ~ CN(0, I_M), i.i.d. CN(0, noise_variance) noise, and
 omega_n = 2*pi*epsilon_n the CFO of user n in radians per symbol.  Receive
 power is assumed perfectly controlled (unit power per active user), so the
 active count is the only amplitude parameter in the model.
+
+Given the offsets, the M columns of Y are i.i.d. CN(0, Sigma) with
+
+    Sigma = [[P, conj(g)], [g, P]],    P = K + sigma_z^2,  g = sum_n e^{j omega_n},
+
+so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma).
+``sample_wishart`` draws it directly in O(K) per trial and is what the
+simulation runs; ``generate_received`` synthesises Y itself and is kept as
+the reference the tests check the sampler against.
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .covariance import CovarianceBlock, check_entries
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -169,3 +180,47 @@ def generate_received(
         scale = math.sqrt(cfg.noise_variance / 2.0)
         samples = samples + scale * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
     return ReceivedPilot(samples=samples)
+
+
+def sample_wishart(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> CovarianceBlock:
+    """Sample covariance entries (r1, r2, r12) of ``trials`` independent pilot slots.
+
+    Each slot draws its K offsets, forms Sigma as in the module docstring and
+    samples M R ~ CW_2(M, Sigma) by the complex Bartlett decomposition
+    (Goodman 1963): with L = chol(Sigma) and A = [[a11, 0], [a21, a22]],
+    a11^2 ~ Gamma(M), a22^2 ~ Gamma(M - 1) (zero when M = 1) and
+    a21 ~ CN(0, 1), X = L A gives M R = X X^H.  The result has the law of
+    ``sample_covariance(generate_received(cfg, rng))`` for each slot.
+
+    Draw order is fixed: all ``trials * K`` offsets (slot-major), then the
+    ``trials`` a11^2 draws, the ``trials`` a22^2 draws, and last the real
+    parts and then the imaginary parts of the ``trials`` a21 draws.  The
+    block passes the same checks as ``SampleCovariance`` before it is
+    returned.
+    """
+    k, m = cfg.k_active, cfg.m_antennas
+    omegas = draw_cfos(cfg.cfo, trials * k, rng).reshape(trials, k)
+    a11 = np.sqrt(rng.standard_gamma(m, size=trials))
+    # shape 0 yields exact zeros without consuming the stream
+    a22 = np.sqrt(rng.standard_gamma(m - 1, size=trials))
+    normals = rng.standard_normal((2, trials))
+    a21 = (normals[0] + 1j * normals[1]) / _SQRT2
+
+    g = np.exp(1j * omegas).sum(axis=1)
+    power = k + cfg.noise_variance
+    # Cholesky factor of Sigma: l11 = sqrt(P), l21 = g / l11, l22^2 = (P^2 - |g|^2) / P;
+    # the factored form of l22^2 cannot overflow, and roundoff in |g| <= K
+    # may not push it below zero
+    l11 = math.sqrt(power)
+    magnitude = np.abs(g)
+    l22 = np.sqrt(np.maximum((1.0 - magnitude / power) * (power + magnitude), 0.0))
+    x11 = l11 * a11
+    x21 = (g / l11) * a11 + l22 * a21
+    x22 = l22 * a22
+    block = CovarianceBlock(
+        r1=x11 * x11 / m,
+        r2=(x21.real**2 + x21.imag**2 + x22 * x22) / m,
+        r12=x11 * np.conj(x21) / m,
+    )
+    check_entries(*block)
+    return block

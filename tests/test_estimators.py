@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from auesim.covariance import SampleCovariance, eigenvalues, sample_covariance
+from auesim.covariance import CovarianceBlock, SampleCovariance, eigenvalues, sample_covariance
 from auesim.estimators import (
     ALPHA_MIN,
     EstimatorContext,
@@ -18,6 +18,7 @@ from auesim.estimators import (
     eig_sum,
     eig_sum_statistic,
     estimate,
+    estimate_array,
     mle,
     mle_statistic,
     multiplication_count,
@@ -180,6 +181,77 @@ class TestRoundingAndClamping:
                 raw = statistic(scheme, cov, CTX)
                 expected = min(max(int(math.floor(raw + 0.5)) if raw >= 0 else int(math.ceil(raw - 0.5)), 0), 100)
                 assert estimate(scheme, cov, CTX) == expected
+
+
+def _round_half_away_clamped(raw, n):
+    rounded = math.floor(raw + 0.5) if raw >= 0 else math.ceil(raw - 0.5)
+    return min(max(rounded, 0), n)
+
+
+class TestEstimateArray:
+    """The batched path must equal scalar ``estimate`` element by element."""
+
+    CTX = EstimatorContext(noise_variance=0.25, alpha=0.5, n_potential=10)
+    # (r1, r2, r12) chosen so each scheme lands on exact +-x.5 ties, negative
+    # statistics and values above n_potential = 10; all are binary fractions
+    EDGES = [
+        (3.0, 3.0, 2.5 + 0j),  # orthogonal 2.5
+        (3.0, 3.0, -2.5 + 0j),  # orthogonal -2.5
+        (3.0, 3.0, 0.5 - 1j),  # orthogonal 0.5
+        (3.0, 3.0, -0.5 + 1j),  # orthogonal -0.5
+        (3.0, 3.0, 0.25 + 0j),  # mle 1.5
+        (4.5, 4.5, 2.25 + 0j),  # mle 3.25, eig-diff 4.5
+        (0.75, 0.75, 0j),  # eig-sum 0.5
+        (2.75, 2.75, 0j),  # eig-sum 2.5
+        (0.125, 0.125, 0j),  # eig-sum -0.125, mle -0.0625
+        (1.0, 1.0, -1.0 + 0j),  # mle -0.125
+        (3.75, 1.25, 0j),  # eig-diff 2.5
+        (40.0, 30.0, 20.0 + 10j),  # every scheme above n_potential
+        (1e6, 2e6, 1e5 - 3e5j),  # every scheme far above n_potential
+    ]
+
+    def block(self):
+        rng = np.random.default_rng(48)
+        r1, r2, r12 = (np.array(column) for column in zip(*self.EDGES))
+        random = [random_cov(rng) for _ in range(200)]
+        scale = 8.0  # spreads the random statistics across [0, n_potential] and beyond
+        r1 = np.concatenate([r1, scale * np.array([c.r1 for c in random])])
+        r2 = np.concatenate([r2, scale * np.array([c.r2 for c in random])])
+        r12 = np.concatenate([r12, scale * np.array([c.r12 for c in random])])
+        return CovarianceBlock(r1=r1, r2=r2, r12=r12)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_matches_scalar_estimate(self, scheme):
+        cov = self.block()
+        batch = estimate_array(scheme, cov, self.CTX)
+        assert batch.dtype == np.int64
+        assert batch.shape == cov.r1.shape
+        for i, (r1, r2, r12) in enumerate(zip(*cov)):
+            one = SampleCovariance(r1=float(r1), r2=float(r2), r12=complex(r12))
+            expected = _round_half_away_clamped(statistic(scheme, one, self.CTX), 10)
+            assert estimate(scheme, one, self.CTX) == expected
+            assert batch[i] == expected, f"element {i}: {(r1, r2, r12)}"
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_edges_cover_ties_negatives_and_clamp(self, scheme):
+        """Guard the test data itself: each scheme meets the cases it should."""
+        raw = np.array([statistic(scheme, SampleCovariance(*edge), self.CTX) for edge in self.EDGES])
+        assert np.any((raw % 1.0 == 0.5) & (raw > 0.0))
+        assert np.any(raw > self.CTX.n_potential)
+        # the eig-diff statistic is a square root, never negative
+        assert np.any(raw < 0.0) == (scheme is not Scheme.EIG_DIFF)
+
+    def test_eig_diff_domain_error_from_batch(self):
+        cov = self.block()
+        for alpha in (ALPHA_MIN, ALPHA_MIN / 2, 0.0, -0.5):
+            ctx = EstimatorContext(noise_variance=0.1, alpha=alpha, n_potential=100)
+            with pytest.raises(EstimatorDomainError):
+                estimate_array(Scheme.EIG_DIFF, cov, ctx)
+
+    def test_rejects_nan_statistic(self):
+        cov = CovarianceBlock(r1=np.array([1.0, np.nan]), r2=np.ones(2), r12=np.zeros(2, complex))
+        with pytest.raises(ValueError):
+            estimate_array(Scheme.EIG_SUM, cov, self.CTX)
 
 
 class TestEigDiffGuard:

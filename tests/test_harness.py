@@ -3,13 +3,15 @@
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from auesim import covariance
+from auesim import estimators, harness, model
 from auesim.estimators import EstimatorDomainError, Scheme, characteristic_function
 from auesim.harness import (
+    BLOCK,
     CSV_HEADER,
     DEFAULT_TRIALS,
     ExperimentConfig,
@@ -120,6 +122,56 @@ class TestCollectEstimates:
         for scheme in ALL_SCHEMES:
             np.testing.assert_array_equal(serial[scheme], parallel[scheme])
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_over_several_blocks_matches_serial(self, workers):
+        """Four blocks, the last one short, split over a real process pool."""
+        trials = 3 * BLOCK + 17
+        serial = collect_estimates(BASE_CFG, ALL_SCHEMES, trials, seed=9)
+        parallel = collect_estimates(BASE_CFG, ALL_SCHEMES, trials, seed=9, workers=workers)
+        for scheme in ALL_SCHEMES:
+            assert serial[scheme].shape == (trials,)
+            np.testing.assert_array_equal(serial[scheme], parallel[scheme])
+
+    @pytest.mark.parametrize(
+        "trials,workers,cpus,expected",
+        [
+            (20_000, 10_000, 2, 2),  # cpu count binds
+            (3 * BLOCK + 17, 10_000, 64, 4),  # block count binds
+            (20_000, 3, 64, 3),  # the request binds
+            (BLOCK, 8, 64, None),  # one block: no pool at all
+            (20_000, 4, None, None),  # unknown cpu count counts as one
+        ],
+    )
+    def test_worker_clamp(self, monkeypatch, trials, workers, cpus, expected):
+        """The pool never gets more workers than blocks or CPUs; no process is started."""
+        pools = []
+
+        class FakeFuture:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                return self.value
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return FakeFuture(fn(*args))
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12, workers=workers)
+        assert pools == ([] if expected is None else [expected])
+        assert out[Scheme.ORTHOGONAL].shape == (trials,)
+
     def test_more_workers_than_trials(self):
         serial = collect_estimates(BASE_CFG, (Scheme.MLE,), 3, seed=10)
         parallel = collect_estimates(BASE_CFG, (Scheme.MLE,), 3, seed=10, workers=8)
@@ -137,18 +189,29 @@ class TestRunPoint:
         out = run_point(BASE_CFG, (Scheme.MLE, Scheme.EIG_SUM), 30, seed=2)
         assert list(out) == [Scheme.MLE, Scheme.EIG_SUM]
 
-    def test_one_covariance_per_trial(self, monkeypatch):
-        """All schemes must see the same covariance: one computation per trial."""
-        calls = []
-        real = covariance.sample_covariance
+    def test_one_sample_per_trial_shared_by_schemes(self, monkeypatch):
+        """All schemes must see the same covariances: one sampled trial per trial."""
+        drawn = []
+        seen = []
+        real_sampler = model.sample_wishart
+        real_estimate = estimators.estimate_array
 
-        def counting(pilot):
-            calls.append(1)
-            return real(pilot)
+        def counting_sampler(cfg, trials, rng):
+            drawn.append(trials)
+            return real_sampler(cfg, trials, rng)
 
-        monkeypatch.setattr("auesim.covariance.sample_covariance", counting)
+        def recording_estimate(scheme, cov, ctx):
+            seen.append((scheme, tuple(id(entry) for entry in cov)))
+            return real_estimate(scheme, cov, ctx)
+
+        monkeypatch.setattr(model, "sample_wishart", counting_sampler)
+        monkeypatch.setattr(harness, "estimate_array", recording_estimate)
         run_point(BASE_CFG, ALL_SCHEMES, 50, seed=5)
-        assert len(calls) == 50
+        assert sum(drawn) == 50
+        assert [scheme for scheme, _ in seen] == list(ALL_SCHEMES) * len(drawn)
+        for i in range(len(drawn)):
+            block = seen[i * len(ALL_SCHEMES) : (i + 1) * len(ALL_SCHEMES)]
+            assert len({arrays for _, arrays in block}) == 1
 
     def test_matches_nrmse_of_collected_estimates(self):
         estimates = collect_estimates(BASE_CFG, (Scheme.EIG_SUM,), 200, seed=3)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from auesim.covariance import sample_covariance
+from auesim.estimators import characteristic_function
 from auesim.model import (
     CfoKind,
     CfoModel,
@@ -13,7 +16,9 @@ from auesim.model import (
     draw_cfos,
     generate_received,
     phase_rotation,
+    sample_wishart,
 )
+from auesim.theory import PopulationSpec, moment_oracles
 
 BASE_CFG = SystemConfig(
     n_potential=100,
@@ -219,3 +224,74 @@ class TestGenerateReceived:
         # are correlated across the 2 rows, so take a generous sigma
         sigma = expected / math.sqrt(trials * BASE_CFG.m_antennas / 2)
         assert abs(power - expected) < 5 * sigma
+
+
+def _ks_config(m, cfo):
+    # few users and a wide offset spread, so the per-trial offsets move
+    # Sigma a lot and a sampler that mixed over them wrongly would show
+    return SystemConfig(n_potential=10, k_active=4, m_antennas=m, noise_variance=0.5, cfo=cfo)
+
+
+class TestSampleWishart:
+    """The Wishart sampler must have the law of the direct 2 x M model.
+
+    Seeds and thresholds were fixed before the first run; a failure here is a
+    sampler defect to investigate, never a reason to pick other seeds.
+    """
+
+    def test_moments_match_oracles(self):
+        trials = 100_000
+        alpha = characteristic_function(BASE_CFG.cfo)
+        oracle = moment_oracles(
+            PopulationSpec(k_active=BASE_CFG.k_active, noise_variance=BASE_CFG.noise_variance, alpha=alpha),
+            BASE_CFG.m_antennas,
+        )
+        rng = np.random.default_rng(7101)
+        blocks = [sample_wishart(BASE_CFG, 10_000, rng) for _ in range(trials // 10_000)]
+        r1 = np.concatenate([b.r1 for b in blocks])
+        r2 = np.concatenate([b.r2 for b in blocks])
+        samples = {
+            "E[R1]": (r1, oracle.r1_mean),
+            "E[R2]": (r2, oracle.r1_mean),
+            "E[R1^2]": (r1**2, oracle.r1_square_mean),
+            "E[R2^2]": (r2**2, oracle.r1_square_mean),
+            "E[R1 R2]": (r1 * r2, oracle.r1_r2_mean),
+        }
+        for name, (sample, target) in samples.items():
+            z = (sample.mean() - target) / (sample.std(ddof=1) / math.sqrt(trials))
+            assert abs(z) < 5.0, f"{name} off by {z:+.2f} standard errors"
+
+    @pytest.mark.parametrize("cfo", [CfoModel.uniform(0.3), CfoModel.gaussian(0.3)], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("m", [1, 2, 32])
+    def test_distribution_matches_direct_model(self, m, cfo):
+        """Two-sample KS of every entry against sample_covariance(generate_received(...))."""
+        cfg = _ks_config(m, cfo)
+        case = (m, cfo.kind is CfoKind.GAUSSIAN)
+        rng = np.random.default_rng(np.random.SeedSequence((7202, *case)))
+        direct = [sample_covariance(generate_received(cfg, rng)) for _ in range(4000)]
+        wishart = sample_wishart(cfg, 40_000, np.random.default_rng(np.random.SeedSequence((7203, *case))))
+        direct_r12 = np.array([c.r12 for c in direct])
+        pairs = {
+            "r1": (np.array([c.r1 for c in direct]), wishart.r1),
+            "r2": (np.array([c.r2 for c in direct]), wishart.r2),
+            "Re r12": (direct_r12.real, wishart.r12.real),
+            "Im r12": (direct_r12.imag, wishart.r12.imag),
+            "|r12|": (np.abs(direct_r12), np.abs(wishart.r12)),
+        }
+        for name, (a, b) in pairs.items():
+            p = stats.ks_2samp(a, b).pvalue
+            assert p > 1e-3, f"{name}: KS p = {p:.2e}"
+
+    def test_single_antenna_is_rank_one(self):
+        """At M = 1, a22 = 0 and R = x x^H exactly, so r1 r2 = |r12|^2."""
+        cfg = _ks_config(1, CfoModel.uniform(0.3))
+        cov = sample_wishart(cfg, 1000, np.random.default_rng(7204))
+        np.testing.assert_allclose(cov.r1 * cov.r2, np.abs(cov.r12) ** 2, rtol=1e-12)
+
+    def test_shapes_and_determinism(self):
+        a = sample_wishart(BASE_CFG, 37, np.random.default_rng(7205))
+        b = sample_wishart(BASE_CFG, 37, np.random.default_rng(7205))
+        assert a.r1.shape == a.r2.shape == a.r12.shape == (37,)
+        assert a.r12.dtype == np.complex128
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
