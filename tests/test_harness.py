@@ -143,7 +143,8 @@ class TestCollectEstimates:
         ],
     )
     def test_worker_clamp(self, monkeypatch, trials, workers, cpus, expected):
-        """The pool never gets more workers than blocks or CPUs; no process is started."""
+        """The pool never gets more workers than blocks or CPUs, and its block ranges
+        reassemble the serial result; the fake pool starts no process."""
         pools = []
 
         class FakeFuture:
@@ -170,7 +171,8 @@ class TestCollectEstimates:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12, workers=workers)
         assert pools == ([] if expected is None else [expected])
-        assert out[Scheme.ORTHOGONAL].shape == (trials,)
+        serial = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12)
+        np.testing.assert_array_equal(out[Scheme.ORTHOGONAL], serial[Scheme.ORTHOGONAL])
 
     def test_more_workers_than_trials(self):
         serial = collect_estimates(BASE_CFG, (Scheme.MLE,), 3, seed=10)
