@@ -17,8 +17,9 @@ them half away from zero and clamp to the population range [0, n_potential].
 
 Each formula is written once and reads only ``cov.r1``, ``cov.r2`` and
 ``cov.r12``, so it takes one ``SampleCovariance`` or a whole
-``CovarianceBlock`` of arrays.  ``estimate_array`` is the batched path the
-simulation runs; ``estimate`` is the same computation on one covariance.
+``CovarianceBlock`` of arrays.  ``estimate_counts`` is the batched path the
+simulation runs: every requested scheme on one block, rounded and clamped
+in one step; ``estimate`` is the same computation on one covariance.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,18 +55,22 @@ class EstimatorDomainError(ValueError):
 class EstimatorContext:
     """Side information shared by the schemes at one operating point.
 
+    ``noise_variance`` and ``alpha`` may instead be arrays with one value per
+    covariance, for a block whose covariances come from several points.
     ``alpha`` may be any value in [-1, 1] here; the eig-diff scheme itself
     rejects values at or below ``ALPHA_MIN`` since it divides by alpha.
     """
 
-    noise_variance: float
-    alpha: float
+    noise_variance: float | np.ndarray
+    alpha: float | np.ndarray
     n_potential: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.noise_variance) or self.noise_variance < 0.0:
+        noise = np.asarray(self.noise_variance)
+        if not np.all(np.isfinite(noise) & (noise >= 0.0)):
             raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance}")
-        if not -1.0 <= self.alpha <= 1.0:
+        alpha = np.asarray(self.alpha)
+        if not np.all((-1.0 <= alpha) & (alpha <= 1.0)):
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
         if self.n_potential < 1:
             raise ValueError(f"n_potential must be >= 1, got {self.n_potential}")
@@ -88,16 +94,29 @@ def characteristic_function(cfo: CfoModel) -> float:
 Covariance = SampleCovariance | CovarianceBlock
 
 
-def _clamped_counts(values, n_potential: int) -> np.ndarray:
+def _clamped_counts(values: np.ndarray, n_potential: int) -> np.ndarray:
     """Round half away from zero, then clamp to [0, n_potential], elementwise."""
-    values = np.asarray(values, dtype=float)
     if np.isnan(values).any():
         raise ValueError("statistic is NaN; cannot round it to a count")
     whole = np.trunc(values)
     # x - trunc(x) is exact, whereas x + 0.5 rounds 0.49999999999999994 up to 1;
-    # round() and np.rint tie to even, which would bias counts at exact .5 values
-    rounded = whole + np.sign(values) * (np.abs(values - whole) >= 0.5)
-    return np.clip(rounded, 0, n_potential).astype(np.int64)
+    # round() and np.rint tie to even, which would bias counts at exact .5 values;
+    # the steps run in place to keep a large block's temporaries few
+    step = np.abs(values - whole)
+    up = step >= 0.5
+    np.sign(values, out=step)
+    step *= up
+    whole += step
+    return np.clip(whole, 0, n_potential, out=whole).astype(np.int64)
+
+
+def _require_alpha(alpha) -> None:
+    smallest = float(np.min(alpha))
+    if smallest <= ALPHA_MIN:
+        raise EstimatorDomainError(
+            f"characteristic function too small (alpha = {smallest:.3e}, "
+            f"limit {ALPHA_MIN}); the eig-diff scheme divides by it"
+        )
 
 
 def eig_sum_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
@@ -107,11 +126,7 @@ def eig_sum_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndar
 
 def eig_diff_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
     """Half the eigenvalue spread divided by alpha."""
-    if ctx.alpha <= ALPHA_MIN:
-        raise EstimatorDomainError(
-            f"characteristic function too small (alpha = {ctx.alpha:.3e}, "
-            f"limit {ALPHA_MIN}); the eig-diff scheme divides by it"
-        )
+    _require_alpha(ctx.alpha)
     spread = np.sqrt((cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2))
     return spread / (2.0 * ctx.alpha)
 
@@ -160,9 +175,26 @@ _MULT_COUNTS = {
 }
 
 
+def check_domain(schemes: Sequence[Scheme], alpha: float) -> None:
+    """Raise ``EstimatorDomainError`` if a scheme in ``schemes`` is undefined at this alpha."""
+    if Scheme.EIG_DIFF in schemes:
+        _require_alpha(alpha)
+
+
+def estimate_counts(schemes: Sequence[Scheme], cov: Covariance, ctx: EstimatorContext) -> np.ndarray:
+    """Integer estimates of every scheme for every covariance in ``cov``, as int64.
+
+    Row i holds ``schemes[i]``; all rows are computed from the same entries.
+    """
+    values = np.empty((len(schemes),) + np.shape(cov.r1))
+    for row, scheme in enumerate(schemes):
+        values[row] = _STATISTICS[scheme](cov, ctx)
+    return _clamped_counts(values, ctx.n_potential)
+
+
 def estimate_array(scheme: Scheme, cov: Covariance, ctx: EstimatorContext) -> np.ndarray:
     """Integer estimates of one scheme for every covariance in ``cov``, as int64."""
-    return _clamped_counts(_STATISTICS[scheme](cov, ctx), ctx.n_potential)
+    return estimate_counts((scheme,), cov, ctx)[0]
 
 
 def estimate(scheme: Scheme, cov: SampleCovariance, ctx: EstimatorContext) -> int:

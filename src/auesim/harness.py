@@ -4,25 +4,36 @@ Reproducibility contract: the trials of a point are cut into fixed blocks of
 ``BLOCK`` consecutive trials, the last one short.  Block ``b`` of a point
 seeded with ``s`` holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` and draws all
 its randomness from the substream ``SeedSequence((s, b))``, in the order
-documented by ``model.sample_wishart``; a sweep point at index ``i`` is seeded
-with ``point_seed(master_seed, i)``.  Workers take whole blocks, and
-estimates are integers, so per-point error sums are exact integer arithmetic;
-together these make every result a pure function of the experiment
-description, independent of worker count and execution order.  Within a
-trial, one sample covariance is shared by all requested schemes so the
-comparison between schemes is paired.
+documented by ``model.draw_wishart``; a sweep point at index ``i`` is seeded
+with ``point_seed(master_seed, i)``.  Estimates are integers, so per-point
+error sums are exact integer arithmetic; together these make every result a
+pure function of the experiment description, independent of worker count,
+pass boundaries and execution order.  Within a trial, one sample covariance
+is shared by all requested schemes so the comparison between schemes is
+paired.
+
+Evaluation: a sweep first checks every point, then numbers the blocks of all
+points in one list, point-major, and evaluates them in passes of at most
+``PASS_BLOCKS`` blocks.  Only the draws are made block by block; the
+covariance transform, all schemes' counts and the squared-error sums run
+once per pass, over arrays that may span several points.  A pass keeps only
+its (point, scheme) error sums, so memory does not grow with the trial
+count; ``collect_estimates``, which returns per-trial counts, is the one
+caller that keeps more.  With ``workers > 1`` one process pool serves the
+whole sweep, each worker taking a contiguous range of whole blocks.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import enum
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +44,8 @@ from .estimators import (
     EstimatorDomainError,
     Scheme,
     characteristic_function,
-    estimate_array,
+    check_domain,
+    estimate_counts,
 )
 from .model import SystemConfig
 from .theory import nrmse_eig_sum_theory
@@ -43,6 +55,11 @@ DEFAULT_TRIALS = 20_000
 # trials per seeded block; part of the output contract, since changing it
 # changes which substream every trial draws from
 BLOCK = 256
+
+# blocks evaluated together in one vectorised pass; it bounds the memory of a
+# run and changes no result, since blocks are seeded one by one and error
+# sums are exact
+PASS_BLOCKS = 32
 
 CSV_HEADER = ("axis", "axis_value", "scheme", "nrmse_sim", "nrmse_theory", "trials", "seed")
 
@@ -193,26 +210,144 @@ def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"estimates must be integers, got dtype {arr.dtype}")
     squared = (arr.astype(np.int64) - int(k_true)) ** 2
-    return math.sqrt(float(squared.sum()) / arr.size) / k_true
+    return _nrmse_of_sum(int(squared.sum()), arr.size, k_true)
 
 
-def _estimate_blocks(
-    cfg: SystemConfig, schemes: tuple[Scheme, ...], seed: int, trials: int, first: int, stop: int
-) -> dict[Scheme, np.ndarray]:
-    """Estimates of blocks ``first`` up to ``stop`` of a ``trials``-trial point."""
+def _nrmse_of_sum(squared_sum: int, trials: int, k_true: int) -> float:
+    """``nrmse`` of ``trials`` estimates whose squared errors sum to ``squared_sum``."""
+    return math.sqrt(float(squared_sum) / trials) / k_true
+
+
+@dataclass(frozen=True)
+class _Point:
+    """One operating point to simulate, with the alpha its schemes and theory use."""
+
+    cfg: SystemConfig
+    seed: int
+    trials: int
+    alpha: float
+
+    @property
+    def blocks(self) -> int:
+        return -(-self.trials // BLOCK)
+
+
+def _plan_point(cfg: SystemConfig, schemes: tuple[Scheme, ...], trials: int, seed: int) -> _Point:
+    """Check that every scheme is defined at ``cfg`` before any trial runs."""
+    alpha = characteristic_function(cfg.cfo)
+    check_domain(schemes, alpha)
+    return _Point(cfg=cfg, seed=seed, trials=trials, alpha=alpha)
+
+
+def _per_trial(values: list, lengths: list[int]):
+    """One value per run of trials: a scalar when all agree, else one entry per trial."""
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.repeat(values, lengths)
+
+
+def _evaluate_pass(
+    points: Sequence[_Point], schemes: tuple[Scheme, ...], offsets: list[int], first: int, stop: int
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Counts and squared-error sums of blocks ``first`` up to ``stop``.
+
+    Blocks are numbered over all points, point-major, and point ``p`` owns
+    numbers ``offsets[p]`` up to ``offsets[p + 1]``.  Each block draws from
+    its own seeded generator; everything after the draws runs once over the
+    whole pass.  Returns the (schemes, trials) counts, the indices of the
+    points the pass covers, and their (schemes, points) sums of squared
+    count errors.
+    """
+    spans = []  # (point, first block, stop block), blocks numbered within the point
+    point = bisect.bisect_right(offsets, first) - 1
+    while first < stop:
+        end = min(stop, offsets[point + 1])
+        spans.append((point, first - offsets[point], end - offsets[point]))
+        first, point = end, point + 1
+    covered = [points[p] for p, _, _ in spans]
+    lengths = [min(pt.trials, hi * BLOCK) - lo * BLOCK for pt, (_, lo, hi) in zip(covered, spans)]
+    draws = model.WishartDraws.empty(sum(lengths))
+    start = 0
+    for pt, (_, lo, hi) in zip(covered, spans):
+        for block in range(lo, hi):
+            size = min(BLOCK, pt.trials - block * BLOCK)
+            rng = np.random.default_rng(np.random.SeedSequence((pt.seed, block)))
+            model.draw_wishart(pt.cfg, rng, draws.part(start, start + size))
+            start += size
+
+    k_active = _per_trial([pt.cfg.k_active for pt in covered], lengths)
+    noise_variance = _per_trial([pt.cfg.noise_variance for pt in covered], lengths)
+    m_antennas = _per_trial([pt.cfg.m_antennas for pt in covered], lengths)
+    cov = model.bartlett_covariance(draws, k_active, m_antennas, noise_variance)
     ctx = EstimatorContext(
-        noise_variance=cfg.noise_variance,
-        alpha=characteristic_function(cfg.cfo),
-        n_potential=cfg.n_potential,
+        noise_variance=noise_variance,
+        alpha=_per_trial([pt.alpha for pt in covered], lengths),
+        # no sweep axis changes the population size
+        n_potential=covered[0].cfg.n_potential,
     )
-    parts: dict[Scheme, list[np.ndarray]] = {scheme: [] for scheme in schemes}
-    for block in range(first, stop):
-        size = min(BLOCK, trials - block * BLOCK)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
-        cov = model.sample_wishart(cfg, size, rng)
-        for scheme in schemes:
-            parts[scheme].append(estimate_array(scheme, cov, ctx))
-    return {scheme: np.concatenate(parts[scheme]) for scheme in schemes}
+    counts = estimate_counts(schemes, cov, ctx)
+    errors = counts - k_active
+    errors *= errors
+    sums = np.add.reduceat(errors, list(accumulate(lengths[:-1], initial=0)), axis=1)
+    return counts, [p for p, _, _ in spans], sums
+
+
+def _evaluate_blocks(
+    points: Sequence[_Point], schemes: tuple[Scheme, ...], first: int, stop: int, keep: bool
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Blocks ``first`` up to ``stop`` in passes of at most ``PASS_BLOCKS`` blocks.
+
+    Returns the (schemes, points) sums of squared count errors and, when
+    ``keep`` is set, the counts of every pass in order.
+    """
+    offsets = list(accumulate((pt.blocks for pt in points), initial=0))
+    sums = np.zeros((len(schemes), len(points)), dtype=np.int64)
+    kept = []
+    for start in range(first, stop, PASS_BLOCKS):
+        counts, covered, pass_sums = _evaluate_pass(
+            points, schemes, offsets, start, min(start + PASS_BLOCKS, stop)
+        )
+        sums[:, covered] += pass_sums
+        if keep:
+            kept.append(counts)
+    return sums, kept
+
+
+def _evaluate(
+    points: Sequence[_Point], schemes: tuple[Scheme, ...], workers: int, keep: bool
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``_evaluate_blocks`` over every block of ``points``, on at most ``workers`` processes.
+
+    At most ``min(workers, blocks, cpu count)`` processes run, in one pool,
+    each on a contiguous range of whole blocks; one means no pool at all.
+    """
+    blocks = sum(pt.blocks for pt in points)
+    if workers > 1:
+        workers = min(workers, blocks, os.cpu_count() or 1)
+    if workers <= 1:
+        return _evaluate_blocks(points, schemes, 0, blocks, keep)
+    # imported here so that serial runs do not pay for the pool machinery at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [blocks * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_evaluate_blocks, points, schemes, lo, hi, keep)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        parts = [future.result() for future in futures]
+    return sum(sums for sums, _ in parts), [counts for _, kept in parts for counts in kept]
+
+
+def _single_point(
+    cfg: SystemConfig, schemes: Iterable[Scheme], trials: int, seed: int
+) -> tuple[tuple[Scheme, ...], _Point]:
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("at least one scheme is required")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return schemes, _plan_point(cfg, schemes, trials, seed)
 
 
 def collect_estimates(
@@ -231,23 +366,9 @@ def collect_estimates(
     processes run, each on a contiguous range of whole blocks; one means no
     pool at all.
     """
-    schemes = tuple(schemes)
-    if not schemes:
-        raise ValueError("at least one scheme is required")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    blocks = -(-trials // BLOCK)
-    workers = min(workers, blocks, os.cpu_count() or 1)
-    if workers <= 1:
-        return _estimate_blocks(cfg, schemes, seed, trials, 0, blocks)
-    bounds = [blocks * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_estimate_blocks, cfg, schemes, seed, trials, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        chunks = [future.result() for future in futures]
-    return {scheme: np.concatenate([chunk[scheme] for chunk in chunks]) for scheme in schemes}
+    schemes, point = _single_point(cfg, schemes, trials, seed)
+    _, kept = _evaluate([point], schemes, workers, keep=True)
+    return dict(zip(schemes, np.concatenate(kept, axis=1)))
 
 
 def run_point(
@@ -258,42 +379,51 @@ def run_point(
     *,
     workers: int = 1,
 ) -> dict[Scheme, float]:
-    """Per-scheme NRMSE at one operating point."""
-    estimates = collect_estimates(cfg, schemes, trials, seed, workers=workers)
-    return {scheme: nrmse(values, cfg.k_active) for scheme, values in estimates.items()}
+    """Per-scheme NRMSE at one operating point, in memory bounded by the pass size."""
+    schemes, point = _single_point(cfg, schemes, trials, seed)
+    sums, _ = _evaluate([point], schemes, workers, keep=False)
+    return {
+        scheme: _nrmse_of_sum(int(total), trials, cfg.k_active)
+        for scheme, total in zip(schemes, sums[:, 0])
+    }
 
 
 def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> SweepResult:
     """Run every sweep point and collect one row per (axis value, scheme).
 
-    The theory column is attached to eig-sum rows when ``emit_theory`` is set
-    and left empty everywhere else.
+    All points are checked before any trial runs, and their blocks are
+    evaluated together, in one pool when ``workers`` allows.  The theory
+    column is attached to eig-sum rows when ``emit_theory`` is set and left
+    empty everywhere else.
     """
     axis = config.sweep.axis
     values: tuple[float | None, ...]
     values = config.sweep.values if axis is not SweepAxis.NONE else (None,)
-    rows: list[SweepRow] = []
+    points = []
     for index, value in enumerate(values):
         cfg = apply_axis_value(config.base, axis, value)
         seed = point_seed(config.master_seed, index)
         try:
-            per_scheme = run_point(cfg, config.schemes, config.trials, seed, workers=workers)
+            points.append(_plan_point(cfg, config.schemes, config.trials, seed))
         except EstimatorDomainError as exc:
             where = "single point" if value is None else f"{axis.value} = {value}"
             raise EstimatorDomainError(f"{where}: {exc}") from exc
+    sums, _ = _evaluate(points, config.schemes, workers, keep=False)
+    rows: list[SweepRow] = []
+    for value, point, point_sums in zip(values, points, sums.T):
+        cfg = point.cfg
         theory_value = None
         if config.emit_theory:
-            alpha = characteristic_function(cfg.cfo)
             theory_value = nrmse_eig_sum_theory(
-                cfg.k_active, cfg.m_antennas, cfg.noise_variance, alpha
+                cfg.k_active, cfg.m_antennas, cfg.noise_variance, point.alpha
             )
-        for scheme in config.schemes:
+        for scheme, total in zip(config.schemes, point_sums):
             rows.append(
                 SweepRow(
                     axis=axis.value,
                     axis_value=value,
                     scheme=scheme,
-                    nrmse_sim=per_scheme[scheme],
+                    nrmse_sim=_nrmse_of_sum(int(total), config.trials, cfg.k_active),
                     nrmse_theory=theory_value if scheme is Scheme.EIG_SUM else None,
                     trials=config.trials,
                     seed=config.master_seed,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,6 +183,78 @@ def generate_received(
     return ReceivedPilot(samples=samples)
 
 
+class WishartDraws(NamedTuple):
+    """Random inputs of the Bartlett sampler for many slots, element i from slot i.
+
+    ``g`` is the phasor sum of the slot's K offsets, ``gamma_m`` and
+    ``gamma_m1`` are a11^2 ~ Gamma(M) and a22^2 ~ Gamma(M - 1), and ``re``
+    and ``im`` are the real and imaginary normals behind a21.
+    """
+
+    g: np.ndarray
+    gamma_m: np.ndarray
+    gamma_m1: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+    @classmethod
+    def empty(cls, trials: int) -> "WishartDraws":
+        return cls(np.empty(trials, complex), *(np.empty(trials) for _ in range(4)))
+
+    def part(self, start: int, stop: int) -> "WishartDraws":
+        """Views of slots ``start`` up to ``stop``; filling them fills this record."""
+        return WishartDraws(*(values[start:stop] for values in self))
+
+
+def draw_wishart(cfg: SystemConfig, rng: np.random.Generator, out: WishartDraws) -> None:
+    """Fill ``out`` with the random inputs of ``len(out.g)`` slots drawn from ``rng``.
+
+    Draw order is fixed: all ``trials * K`` offsets (slot-major), then the
+    ``trials`` a11^2 draws, the ``trials`` a22^2 draws, and last the real
+    parts and then the imaginary parts of the ``trials`` a21 draws.  Only
+    the phasor sums of the offsets are kept.
+    """
+    trials = out.g.size
+    omegas = draw_cfos(cfg.cfo, trials * cfg.k_active, rng).reshape(trials, cfg.k_active)
+    np.exp(1j * omegas).sum(axis=1, out=out.g)
+    rng.standard_gamma(cfg.m_antennas, out=out.gamma_m)
+    # shape 0 yields exact zeros without consuming the stream
+    rng.standard_gamma(cfg.m_antennas - 1, out=out.gamma_m1)
+    rng.standard_normal(out=out.re)
+    rng.standard_normal(out=out.im)
+
+
+def bartlett_covariance(draws: WishartDraws, k_active, m_antennas, noise_variance) -> CovarianceBlock:
+    """Covariance entries (r1, r2, r12) of the slots in ``draws``.
+
+    With Sigma as in the module docstring, L = chol(Sigma) and
+    A = [[a11, 0], [a21, a22]], X = L A gives M R = X X^H (Goodman 1963).
+    The system parameters are scalars or arrays with one value per slot.
+    The block passes the same checks as ``SampleCovariance`` before it is
+    returned.
+    """
+    a11 = np.sqrt(draws.gamma_m)
+    a22 = np.sqrt(draws.gamma_m1)
+    a21 = (draws.re + 1j * draws.im) / _SQRT2
+    power = k_active + noise_variance
+    # Cholesky factor of Sigma: l11 = sqrt(P), l21 = g / l11, l22^2 = (P^2 - |g|^2) / P;
+    # the factored form of l22^2 cannot overflow, and roundoff in |g| <= K
+    # may not push it below zero
+    l11 = np.sqrt(power)
+    magnitude = np.abs(draws.g)
+    l22 = np.sqrt(np.maximum((1.0 - magnitude / power) * (power + magnitude), 0.0))
+    x11 = l11 * a11
+    x21 = (draws.g / l11) * a11 + l22 * a21
+    x22 = l22 * a22
+    block = CovarianceBlock(
+        r1=x11 * x11 / m_antennas,
+        r2=(x21.real**2 + x21.imag**2 + x22 * x22) / m_antennas,
+        r12=x11 * np.conj(x21) / m_antennas,
+    )
+    check_entries(*block)
+    return block
+
+
 def sample_wishart(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> CovarianceBlock:
     """Sample covariance entries (r1, r2, r12) of ``trials`` independent pilot slots.
 
@@ -190,37 +263,10 @@ def sample_wishart(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> 
     (Goodman 1963): with L = chol(Sigma) and A = [[a11, 0], [a21, a22]],
     a11^2 ~ Gamma(M), a22^2 ~ Gamma(M - 1) (zero when M = 1) and
     a21 ~ CN(0, 1), X = L A gives M R = X X^H.  The result has the law of
-    ``sample_covariance(generate_received(cfg, rng))`` for each slot.
-
-    Draw order is fixed: all ``trials * K`` offsets (slot-major), then the
-    ``trials`` a11^2 draws, the ``trials`` a22^2 draws, and last the real
-    parts and then the imaginary parts of the ``trials`` a21 draws.  The
-    block passes the same checks as ``SampleCovariance`` before it is
-    returned.
+    ``sample_covariance(generate_received(cfg, rng))`` for each slot.  The
+    stream is consumed as ``draw_wishart`` documents, and the entries are
+    formed by ``bartlett_covariance``.
     """
-    k, m = cfg.k_active, cfg.m_antennas
-    omegas = draw_cfos(cfg.cfo, trials * k, rng).reshape(trials, k)
-    a11 = np.sqrt(rng.standard_gamma(m, size=trials))
-    # shape 0 yields exact zeros without consuming the stream
-    a22 = np.sqrt(rng.standard_gamma(m - 1, size=trials))
-    normals = rng.standard_normal((2, trials))
-    a21 = (normals[0] + 1j * normals[1]) / _SQRT2
-
-    g = np.exp(1j * omegas).sum(axis=1)
-    power = k + cfg.noise_variance
-    # Cholesky factor of Sigma: l11 = sqrt(P), l21 = g / l11, l22^2 = (P^2 - |g|^2) / P;
-    # the factored form of l22^2 cannot overflow, and roundoff in |g| <= K
-    # may not push it below zero
-    l11 = math.sqrt(power)
-    magnitude = np.abs(g)
-    l22 = np.sqrt(np.maximum((1.0 - magnitude / power) * (power + magnitude), 0.0))
-    x11 = l11 * a11
-    x21 = (g / l11) * a11 + l22 * a21
-    x22 = l22 * a22
-    block = CovarianceBlock(
-        r1=x11 * x11 / m,
-        r2=(x21.real**2 + x21.imag**2 + x22 * x22) / m,
-        r12=x11 * np.conj(x21) / m,
-    )
-    check_entries(*block)
-    return block
+    draws = WishartDraws.empty(trials)
+    draw_wishart(cfg, rng, draws)
+    return bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)

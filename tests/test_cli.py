@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import auesim.cli
 from auesim.cli import build_parser, main
 from auesim.harness import CSV_HEADER, DEFAULT_TRIALS
 
@@ -198,6 +199,27 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith(",".join(CSV_HEADER)), proc.stderr
+
+    def test_serial_run_loads_no_pool_machinery(self):
+        """The process pool is imported only when one starts: importing the CLI and a
+        serial run leave concurrent.futures unloaded."""
+        src = Path(auesim.cli.__file__).resolve().parents[1]
+        code = (
+            "import os, sys\n"
+            "import auesim.cli\n"
+            "loaded = ['concurrent.futures' in sys.modules]\n"
+            "auesim.cli.main(['run', '--trials', '300', '--out', os.devnull])\n"
+            "loaded.append('concurrent.futures' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False]"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -19,6 +19,7 @@ from auesim.estimators import (
     eig_sum_statistic,
     estimate,
     estimate_array,
+    estimate_counts,
     mle,
     mle_statistic,
     multiplication_count,
@@ -84,6 +85,10 @@ class TestEstimatorContext:
             dict(alpha=1.5),
             dict(alpha=-1.5),
             dict(n_potential=0),
+            dict(noise_variance=np.array([0.1, -0.1])),
+            dict(noise_variance=np.array([0.1, math.inf])),
+            dict(alpha=np.array([0.5, 1.5])),
+            dict(alpha=np.array([0.5, math.nan])),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -232,6 +237,22 @@ class TestEstimateArray:
             assert estimate(scheme, one, self.CTX) == expected
             assert batch[i] == expected, f"element {i}: {(r1, r2, r12)}"
 
+    def test_counts_with_per_covariance_context(self):
+        """All schemes at once, with noise and alpha given per covariance, equal
+        scalar ``estimate`` under each covariance's own context."""
+        cov = self.block()
+        odd = np.arange(cov.r1.size) % 2 == 1
+        noise = np.where(odd, 1.5, 0.25)
+        alpha = np.where(odd, 0.9, 0.5)
+        schemes = (Scheme.MLE, Scheme.EIG_DIFF, Scheme.EIG_SUM, Scheme.ORTHOGONAL)
+        counts = estimate_counts(schemes, cov, EstimatorContext(noise, alpha, n_potential=10))
+        assert counts.dtype == np.int64
+        assert counts.shape == (len(schemes),) + cov.r1.shape
+        for i, (r1, r2, r12) in enumerate(zip(*cov)):
+            one = SampleCovariance(r1=float(r1), r2=float(r2), r12=complex(r12))
+            ctx = EstimatorContext(float(noise[i]), float(alpha[i]), n_potential=10)
+            assert [estimate(scheme, one, ctx) for scheme in schemes] == list(counts[:, i])
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_edges_cover_ties_negatives_and_clamp(self, scheme):
         """Guard the test data itself: each scheme meets the cases it should."""
@@ -247,6 +268,12 @@ class TestEstimateArray:
             ctx = EstimatorContext(noise_variance=0.1, alpha=alpha, n_potential=100)
             with pytest.raises(EstimatorDomainError):
                 estimate_array(Scheme.EIG_DIFF, cov, ctx)
+            # one covariance below the limit is enough
+            per_cov = np.full(cov.r1.shape, 0.5)
+            per_cov[-1] = alpha
+            ctx = EstimatorContext(noise_variance=0.1, alpha=per_cov, n_potential=100)
+            with pytest.raises(EstimatorDomainError):
+                estimate_counts((Scheme.ORTHOGONAL, Scheme.EIG_DIFF), cov, ctx)
 
     def test_rejects_nan_statistic(self):
         cov = CovarianceBlock(r1=np.array([1.0, np.nan]), r2=np.ones(2), r12=np.zeros(2, complex))

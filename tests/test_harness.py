@@ -1,9 +1,11 @@
 """Tests for the Monte Carlo runner, sweep plumbing, and output writers."""
 
+import concurrent.futures
 import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from auesim.harness import (
     BLOCK,
     CSV_HEADER,
     DEFAULT_TRIALS,
+    PASS_BLOCKS,
     ExperimentConfig,
     SweepAxis,
     SweepResult,
@@ -94,6 +97,35 @@ class TestPointSeed:
             assert 0 <= point_seed(99, i) < 2**64
 
 
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs each task at submit; returns the
+    list of the worker counts of the pools started."""
+    pools = []
+
+    class FakeFuture:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            return self.value
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return FakeFuture(fn(*args))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return pools
+
+
 class TestCollectEstimates:
     def test_reproducible(self):
         a = collect_estimates(BASE_CFG, ALL_SCHEMES, 60, seed=5)
@@ -145,34 +177,30 @@ class TestCollectEstimates:
     def test_worker_clamp(self, monkeypatch, trials, workers, cpus, expected):
         """The pool never gets more workers than blocks or CPUs, and its block ranges
         reassemble the serial result; the fake pool starts no process."""
-        pools = []
-
-        class FakeFuture:
-            def __init__(self, value):
-                self.value = value
-
-            def result(self):
-                return self.value
-
-        class FakePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                return FakeFuture(fn(*args))
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        pools = fake_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12, workers=workers)
         assert pools == ([] if expected is None else [expected])
         serial = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12)
         np.testing.assert_array_equal(out[Scheme.ORTHOGONAL], serial[Scheme.ORTHOGONAL])
+
+    def test_sweep_starts_one_pool(self, monkeypatch):
+        """A sweep clamps against its total block count and starts one pool for all
+        points, even when every point fits in one block."""
+        pools = fake_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        config = small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0)))
+        pooled = run_sweep(config, workers=10_000)
+        assert pools == [3]
+        assert pooled == run_sweep(config)
+        assert pools == [3]
+
+    def test_serial_run_skips_cpu_count(self, monkeypatch):
+        def cpu_count():
+            raise AssertionError("a serial run asked for the cpu count")
+
+        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        run_point(BASE_CFG, ALL_SCHEMES, 3 * BLOCK, seed=1)
 
     def test_more_workers_than_trials(self):
         serial = collect_estimates(BASE_CFG, (Scheme.MLE,), 3, seed=10)
@@ -192,28 +220,35 @@ class TestRunPoint:
         assert list(out) == [Scheme.MLE, Scheme.EIG_SUM]
 
     def test_one_sample_per_trial_shared_by_schemes(self, monkeypatch):
-        """All schemes must see the same covariances: one sampled trial per trial."""
-        drawn = []
-        seen = []
-        real_sampler = model.sample_wishart
-        real_estimate = estimators.estimate_array
+        """Each trial is drawn once, from one generator per (seed, block), and all
+        schemes read the same covariance arrays."""
+        trials = 2 * BLOCK + 50
+        draws = []
+        real_draw = model.draw_wishart
 
-        def counting_sampler(cfg, trials, rng):
-            drawn.append(trials)
-            return real_sampler(cfg, trials, rng)
+        def recording_draw(cfg, rng, out):
+            draws.append((rng, out.g.size))
+            real_draw(cfg, rng, out)
 
-        def recording_estimate(scheme, cov, ctx):
-            seen.append((scheme, tuple(id(entry) for entry in cov)))
-            return real_estimate(scheme, cov, ctx)
+        read = {}
+        for scheme, real_statistic in list(estimators._STATISTICS.items()):
 
-        monkeypatch.setattr(model, "sample_wishart", counting_sampler)
-        monkeypatch.setattr(harness, "estimate_array", recording_estimate)
-        run_point(BASE_CFG, ALL_SCHEMES, 50, seed=5)
-        assert sum(drawn) == 50
-        assert [scheme for scheme, _ in seen] == list(ALL_SCHEMES) * len(drawn)
-        for i in range(len(drawn)):
-            block = seen[i * len(ALL_SCHEMES) : (i + 1) * len(ALL_SCHEMES)]
-            assert len({arrays for _, arrays in block}) == 1
+            def recording_statistic(cov, ctx, scheme=scheme, real_statistic=real_statistic):
+                read.setdefault(scheme, []).append(cov)
+                return real_statistic(cov, ctx)
+
+            monkeypatch.setitem(estimators._STATISTICS, scheme, recording_statistic)
+        monkeypatch.setattr(model, "draw_wishart", recording_draw)
+        run_point(BASE_CFG, ALL_SCHEMES, trials, seed=5)
+        assert [size for _, size in draws] == [BLOCK, BLOCK, 50]
+        assert [rng.bit_generator.seed_seq.entropy for rng, _ in draws] == [(5, 0), (5, 1), (5, 2)]
+        assert len({id(rng) for rng, _ in draws}) == len(draws)
+        assert list(read) == list(ALL_SCHEMES)
+        assert all(len(calls) == 1 for calls in read.values())
+        covs = [calls[0] for calls in read.values()]
+        assert covs[0].r1.shape == (trials,)
+        for cov in covs[1:]:
+            assert all(entry is first for entry, first in zip(cov, covs[0]))
 
     def test_matches_nrmse_of_collected_estimates(self):
         estimates = collect_estimates(BASE_CFG, (Scheme.EIG_SUM,), 200, seed=3)
@@ -226,6 +261,23 @@ class TestRunPoint:
         expected = nrmse_eig_sum_theory(25, 32, 0.1, alpha)
         out = run_point(BASE_CFG, (Scheme.EIG_SUM,), 5000, seed=31)
         assert out[Scheme.EIG_SUM] == pytest.approx(expected, rel=0.05)
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_trials(self):
+        """run_point holds one pass at a time, so 8x the pass size peaks like 2x."""
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_point(BASE_CFG, ALL_SCHEMES, trials, seed=41)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pass_trials = PASS_BLOCKS * BLOCK
+        small, large = peak(2 * pass_trials), peak(8 * pass_trials)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestApplyAxisValue:

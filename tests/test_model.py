@@ -1,5 +1,6 @@
 """Tests for the received-pilot signal model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from auesim.model import (
     CfoModel,
     ReceivedPilot,
     SystemConfig,
+    WishartDraws,
+    bartlett_covariance,
     draw_cfos,
+    draw_wishart,
     generate_received,
     phase_rotation,
     sample_wishart,
@@ -295,3 +299,32 @@ class TestSampleWishart:
         assert a.r12.dtype == np.complex128
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_per_slot_parameters_match_separate_blocks(self):
+        """One transform over slots of three configurations gives, bit for bit, the
+        entries each configuration's own sample_wishart call gives."""
+        cfgs = [
+            BASE_CFG,
+            dataclasses.replace(BASE_CFG, k_active=3, m_antennas=1, noise_variance=2.5),
+            dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.4), m_antennas=7),
+        ]
+        sizes = [37, 5, 20]
+        parts = []
+        for i, (cfg, size) in enumerate(zip(cfgs, sizes)):
+            draws = WishartDraws.empty(size)
+            draw_wishart(cfg, np.random.default_rng(7206 + i), draws)
+            parts.append(draws)
+        joined = WishartDraws(*(np.concatenate(column) for column in zip(*parts)))
+
+        def per_slot(name):
+            return np.repeat([getattr(cfg, name) for cfg in cfgs], sizes)
+
+        block = bartlett_covariance(
+            joined, per_slot("k_active"), per_slot("m_antennas"), per_slot("noise_variance")
+        )
+        start = 0
+        for i, (cfg, size) in enumerate(zip(cfgs, sizes)):
+            alone = sample_wishart(cfg, size, np.random.default_rng(7206 + i))
+            for entry, expected in zip(block, alone):
+                assert entry[start : start + size].tobytes() == expected.tobytes()
+            start += size
