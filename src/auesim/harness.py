@@ -233,7 +233,11 @@ class _Point:
 
 
 def _plan_point(cfg: SystemConfig, schemes: tuple[Scheme, ...], trials: int, seed: int) -> _Point:
-    """Check that every scheme is defined at ``cfg`` before any trial runs."""
+    """Check the request, and that every scheme is defined at ``cfg``, before any trial runs."""
+    if not schemes:
+        raise ValueError("at least one scheme is required")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     alpha = characteristic_function(cfg.cfo)
     check_domain(schemes, alpha)
     return _Point(cfg=cfg, seed=seed, trials=trials, alpha=alpha)
@@ -339,17 +343,6 @@ def _evaluate(
     return sum(sums for sums, _ in parts), [counts for _, kept in parts for counts in kept]
 
 
-def _single_point(
-    cfg: SystemConfig, schemes: Iterable[Scheme], trials: int, seed: int
-) -> tuple[tuple[Scheme, ...], _Point]:
-    schemes = tuple(schemes)
-    if not schemes:
-        raise ValueError("at least one scheme is required")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return schemes, _plan_point(cfg, schemes, trials, seed)
-
-
 def collect_estimates(
     cfg: SystemConfig,
     schemes: Iterable[Scheme],
@@ -366,8 +359,8 @@ def collect_estimates(
     processes run, each on a contiguous range of whole blocks; one means no
     pool at all.
     """
-    schemes, point = _single_point(cfg, schemes, trials, seed)
-    _, kept = _evaluate([point], schemes, workers, keep=True)
+    schemes = tuple(schemes)
+    _, kept = _evaluate([_plan_point(cfg, schemes, trials, seed)], schemes, workers, keep=True)
     return dict(zip(schemes, np.concatenate(kept, axis=1)))
 
 
@@ -380,8 +373,8 @@ def run_point(
     workers: int = 1,
 ) -> dict[Scheme, float]:
     """Per-scheme NRMSE at one operating point, in memory bounded by the pass size."""
-    schemes, point = _single_point(cfg, schemes, trials, seed)
-    sums, _ = _evaluate([point], schemes, workers, keep=False)
+    schemes = tuple(schemes)
+    sums, _ = _evaluate([_plan_point(cfg, schemes, trials, seed)], schemes, workers, keep=False)
     return {
         scheme: _nrmse_of_sum(int(total), trials, cfg.k_active)
         for scheme, total in zip(schemes, sums[:, 0])

@@ -16,9 +16,11 @@ Given the offsets, the M columns of Y are i.i.d. CN(0, Sigma) with
     Sigma = [[P, conj(g)], [g, P]],    P = K + sigma_z^2,  g = sum_n e^{j omega_n},
 
 so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma).
-``sample_wishart`` draws it directly in O(K) per trial and is what the
-simulation runs; ``generate_received`` synthesises Y itself and is kept as
-the reference the tests check the sampler against.
+``sample_wishart`` draws it directly in O(K) per trial; the simulation runs
+its two halves, ``draw_wishart`` once per seeded block and
+``bartlett_covariance`` once over many blocks.  ``generate_received``
+synthesises Y itself and is kept as the reference the tests check the
+sampler against.
 """
 
 from __future__ import annotations

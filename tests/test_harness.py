@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from auesim import estimators, harness, model
+from auesim import estimators, model
 from auesim.estimators import EstimatorDomainError, Scheme, characteristic_function
 from auesim.harness import (
     BLOCK,
