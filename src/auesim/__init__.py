@@ -3,135 +3,8 @@
 The package simulates a grant-free uplink where every active user sends the
 same two-symbol pilot, forms the sample covariance of the two received symbol
 snapshots, and compares four integer counting schemes on it, together with the
-closed-form error curve of the eigenvalue-sum scheme.
+closed-form error curve of the eigenvalue-sum scheme.  The package itself
+re-exports nothing; import the layers as submodules.
 """
 
-from .covariance import (
-    CovarianceBlock,
-    EigenPair,
-    SampleCovariance,
-    eigenvalues,
-    sample_covariance,
-)
-from .estimators import (
-    ALPHA_MIN,
-    EstimatorContext,
-    EstimatorDomainError,
-    Scheme,
-    characteristic_function,
-    eig_diff,
-    eig_diff_statistic,
-    eig_sum,
-    eig_sum_statistic,
-    estimate,
-    estimate_array,
-    estimate_counts,
-    mle,
-    mle_statistic,
-    multiplication_count,
-    orthogonal,
-    orthogonal_statistic,
-    statistic,
-)
-from .harness import (
-    BLOCK,
-    CSV_HEADER,
-    DEFAULT_TRIALS,
-    ExperimentConfig,
-    SweepAxis,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    apply_axis_value,
-    collect_estimates,
-    nrmse,
-    point_seed,
-    run_point,
-    run_sweep,
-    snr_db_to_noise_variance,
-    write_csv,
-    write_json,
-)
-from .model import (
-    CfoKind,
-    CfoModel,
-    ReceivedPilot,
-    SystemConfig,
-    WishartDraws,
-    bartlett_covariance,
-    draw_cfos,
-    draw_wishart,
-    generate_received,
-    phase_rotation,
-    sample_wishart,
-)
-from .theory import (
-    CovarianceMoments,
-    PopulationSpec,
-    gamma_exact,
-    moment_oracles,
-    nrmse_eig_sum_theory,
-    population_eigenvalues,
-)
-
 __version__ = "0.2.0"
-
-__all__ = [
-    "ALPHA_MIN",
-    "BLOCK",
-    "CSV_HEADER",
-    "CfoKind",
-    "CfoModel",
-    "CovarianceBlock",
-    "CovarianceMoments",
-    "DEFAULT_TRIALS",
-    "EigenPair",
-    "EstimatorContext",
-    "EstimatorDomainError",
-    "ExperimentConfig",
-    "PopulationSpec",
-    "ReceivedPilot",
-    "SampleCovariance",
-    "Scheme",
-    "SweepAxis",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
-    "SystemConfig",
-    "WishartDraws",
-    "apply_axis_value",
-    "bartlett_covariance",
-    "characteristic_function",
-    "collect_estimates",
-    "draw_cfos",
-    "draw_wishart",
-    "eig_diff",
-    "eig_diff_statistic",
-    "eig_sum",
-    "eig_sum_statistic",
-    "eigenvalues",
-    "estimate",
-    "estimate_array",
-    "estimate_counts",
-    "gamma_exact",
-    "generate_received",
-    "mle",
-    "mle_statistic",
-    "moment_oracles",
-    "multiplication_count",
-    "nrmse",
-    "nrmse_eig_sum_theory",
-    "orthogonal",
-    "orthogonal_statistic",
-    "phase_rotation",
-    "point_seed",
-    "population_eigenvalues",
-    "run_point",
-    "run_sweep",
-    "sample_covariance",
-    "sample_wishart",
-    "snr_db_to_noise_variance",
-    "statistic",
-    "write_csv",
-    "write_json",
-]

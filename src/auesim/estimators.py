@@ -12,14 +12,14 @@ distribution evaluated at 1.  The first two are the sum and difference of the
 covariance eigenvalues recentred by their known population offsets; the
 orthogonal scheme correlates the two received symbols directly, and the mle
 scheme is the maximum-likelihood count for the zero-offset model.  The
-``*_statistic`` functions return these real values; the scheme functions round
-them half away from zero and clamp to the population range [0, n_potential].
+``*_statistic`` functions return these real values; the counts round them half
+away from zero and clamp to the population range [0, n_potential].
 
 Each formula is written once and reads only ``cov.r1``, ``cov.r2`` and
-``cov.r12``, so it takes one ``SampleCovariance`` or a whole
-``CovarianceBlock`` of arrays.  ``estimate_counts`` is the batched path the
-simulation runs: every requested scheme on one block, rounded and clamped
-in one step; ``estimate`` is the same computation on one covariance.
+``cov.r12``, so it takes a whole ``CovarianceBlock`` of arrays or one
+``reference.SampleCovariance``.  ``estimate_counts`` is the batched path the
+simulation runs: every requested scheme on one block, rounded and clamped in
+one step; ``estimate`` is the same for one scheme on one covariance.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .covariance import CovarianceBlock, SampleCovariance
+from .covariance import CovarianceBlock
 from .model import CfoKind, CfoModel
 
 # below this the eig-diff division by alpha amplifies covariance noise past
@@ -91,7 +91,8 @@ def characteristic_function(cfo: CfoModel) -> float:
     return math.exp(-0.5 * std * std)
 
 
-Covariance = SampleCovariance | CovarianceBlock
+# anything with r1, r2 and r12 works, one reference.SampleCovariance included
+Covariance = CovarianceBlock
 
 
 def _clamped_counts(values: np.ndarray, n_potential: int) -> np.ndarray:
@@ -141,22 +142,6 @@ def mle_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
     return 0.25 * (cov.r1 + cov.r2 + 2.0 * cov.r12.real) - 0.5 * ctx.noise_variance
 
 
-def eig_sum(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return estimate(Scheme.EIG_SUM, cov, ctx)
-
-
-def eig_diff(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return estimate(Scheme.EIG_DIFF, cov, ctx)
-
-
-def orthogonal(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return estimate(Scheme.ORTHOGONAL, cov, ctx)
-
-
-def mle(cov: SampleCovariance, ctx: EstimatorContext) -> int:
-    return estimate(Scheme.MLE, cov, ctx)
-
-
 _STATISTICS = {
     Scheme.EIG_SUM: eig_sum_statistic,
     Scheme.EIG_DIFF: eig_diff_statistic,
@@ -192,17 +177,12 @@ def estimate_counts(schemes: Sequence[Scheme], cov: Covariance, ctx: EstimatorCo
     return _clamped_counts(values, ctx.n_potential)
 
 
-def estimate_array(scheme: Scheme, cov: Covariance, ctx: EstimatorContext) -> np.ndarray:
-    """Integer estimates of one scheme for every covariance in ``cov``, as int64."""
-    return estimate_counts((scheme,), cov, ctx)[0]
-
-
-def estimate(scheme: Scheme, cov: SampleCovariance, ctx: EstimatorContext) -> int:
+def estimate(scheme: Scheme, cov: Covariance, ctx: EstimatorContext) -> int:
     """Run one scheme on one sample covariance."""
-    return int(estimate_array(scheme, cov, ctx))
+    return int(estimate_counts((scheme,), cov, ctx)[0])
 
 
-def statistic(scheme: Scheme, cov: SampleCovariance, ctx: EstimatorContext) -> float:
+def statistic(scheme: Scheme, cov: Covariance, ctx: EstimatorContext) -> float:
     """Real-valued statistic of one scheme before rounding and clamping."""
     return float(_STATISTICS[scheme](cov, ctx))
 

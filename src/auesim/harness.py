@@ -19,7 +19,9 @@ covariance transform, all schemes' counts and the squared-error sums run
 once per pass, over arrays that may span several points.  A pass keeps only
 its (point, scheme) error sums, so memory does not grow with the trial
 count; ``collect_estimates``, which returns per-trial counts, is the one
-caller that keeps more.  With ``workers > 1`` one process pool serves the
+caller that keeps more.  A pass sums in int64, which ``MAX_POPULATION``
+keeps exact, and the totals over passes are Python integers, exact at any
+trial count.  With ``workers > 1`` one process pool serves the
 whole sweep, each worker taking a contiguous range of whole blocks.
 """
 
@@ -60,6 +62,10 @@ BLOCK = 256
 # run and changes no result, since blocks are seeded one by one and error
 # sums are exact
 PASS_BLOCKS = 32
+
+# largest population size N whose squared count errors, each at most N^2,
+# still sum exactly in int64 over a full pass of PASS_BLOCKS * BLOCK trials
+MAX_POPULATION = math.isqrt((2**63 - 1) // (PASS_BLOCKS * BLOCK))
 
 CSV_HEADER = ("axis", "axis_value", "scheme", "nrmse_sim", "nrmse_theory", "trials", "seed")
 
@@ -140,6 +146,7 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed}")
         if self.base.k_active < 1:
             raise ValueError("k_active must be >= 1 (errors are normalized by the true count)")
+        _check_population(self.base.n_potential)
         # surface bad axis values (e.g. k above the population size) at build
         # time instead of mid-run
         for value in self.sweep.values:
@@ -172,6 +179,12 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     return 10.0 ** (-snr_db / 10.0)
+
+
+def _check_population(n_potential: int) -> None:
+    if n_potential > MAX_POPULATION:
+        raise ValueError(f"population size {n_potential} exceeds MAX_POPULATION = "
+                         f"{MAX_POPULATION}, the largest whose error sums stay exact in int64")
 
 
 def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -> SystemConfig:
@@ -209,8 +222,9 @@ def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
         raise ValueError("estimates must be non-empty")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"estimates must be integers, got dtype {arr.dtype}")
-    squared = (arr.astype(np.int64) - int(k_true)) ** 2
-    return _nrmse_of_sum(int(squared.sum()), arr.size, k_true)
+    k = int(k_true)
+    # Python integers: no square or sum can overflow
+    return _nrmse_of_sum(sum((e - k) * (e - k) for e in arr.tolist()), arr.size, k_true)
 
 
 def _nrmse_of_sum(squared_sum: int, trials: int, k_true: int) -> float:
@@ -238,6 +252,7 @@ def _plan_point(cfg: SystemConfig, schemes: tuple[Scheme, ...], trials: int, see
         raise ValueError("at least one scheme is required")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_population(cfg.n_potential)
     alpha = characteristic_function(cfg.cfo)
     check_domain(schemes, alpha)
     return _Point(cfg=cfg, seed=seed, trials=trials, alpha=alpha)
@@ -301,17 +316,17 @@ def _evaluate_blocks(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Blocks ``first`` up to ``stop`` in passes of at most ``PASS_BLOCKS`` blocks.
 
-    Returns the (schemes, points) sums of squared count errors and, when
-    ``keep`` is set, the counts of every pass in order.
+    Returns the (schemes, points) sums of squared count errors, as Python
+    integers, and, when ``keep`` is set, the counts of every pass in order.
     """
     offsets = list(accumulate((pt.blocks for pt in points), initial=0))
-    sums = np.zeros((len(schemes), len(points)), dtype=np.int64)
+    sums = np.zeros((len(schemes), len(points)), dtype=object)
     kept = []
     for start in range(first, stop, PASS_BLOCKS):
         counts, covered, pass_sums = _evaluate_pass(
             points, schemes, offsets, start, min(start + PASS_BLOCKS, stop)
         )
-        sums[:, covered] += pass_sums
+        sums[:, covered] += pass_sums.astype(object)
         if keep:
             kept.append(counts)
     return sums, kept

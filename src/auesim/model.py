@@ -1,4 +1,4 @@
-"""Received-pilot generation for a grant-free uplink with a two-symbol common pilot.
+"""Pilot covariance sampling for a grant-free uplink with a two-symbol common pilot.
 
 Every active user transmits the same pilot s = [1, 1]^T over a flat Rayleigh
 channel to an M-antenna receiver.  A per-user carrier frequency offset (CFO)
@@ -18,9 +18,8 @@ Given the offsets, the M columns of Y are i.i.d. CN(0, Sigma) with
 so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma).
 ``sample_wishart`` draws it directly in O(K) per trial; the simulation runs
 its two halves, ``draw_wishart`` once per seeded block and
-``bartlett_covariance`` once over many blocks.  ``generate_received``
-synthesises Y itself and is kept as the reference the tests check the
-sampler against.
+``bartlett_covariance`` once over many blocks.  Y itself is synthesised
+only by the direct model in ``auesim.reference``, for the tests.
 """
 
 from __future__ import annotations
@@ -117,33 +116,6 @@ class SystemConfig:
         return -10.0 * math.log10(self.noise_variance)
 
 
-@dataclass(frozen=True, eq=False)
-class ReceivedPilot:
-    """One received 2 x M pilot block; row i is the array snapshot for symbol i."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=complex)
-        if samples.ndim != 2 or samples.shape[0] != 2 or samples.shape[1] < 1:
-            raise ValueError(f"samples must have shape (2, M) with M >= 1, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def m_antennas(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.samples[0]
-
-    @property
-    def y2(self) -> np.ndarray:
-        return self.samples[1]
-
-
 def draw_cfos(cfo: CfoModel, k_active: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``k_active`` offsets omega (radians per symbol) from the CFO model."""
     if k_active < 0:
@@ -153,36 +125,6 @@ def draw_cfos(cfo: CfoModel, k_active: int, rng: np.random.Generator) -> np.ndar
     if cfo.kind is CfoKind.GAUSSIAN:
         return rng.normal(0.0, cfo.omega_max / 3.0, size=k_active)
     return np.zeros(k_active)
-
-
-def phase_rotation(omega: float) -> np.ndarray:
-    """Pilot steering vector tau(omega) = [1, e^{j omega}]^T."""
-    return np.array([1.0 + 0.0j, np.exp(1j * omega)])
-
-
-def generate_received(
-    cfg: SystemConfig, rng: np.random.Generator, *, with_noise: bool = True
-) -> ReceivedPilot:
-    """Simulate one pilot slot and return the received 2 x M block.
-
-    Draw order is fixed (active set, offsets, channels, noise) so a given
-    generator state always produces the same block.  ``with_noise=False``
-    zeroes the additive noise; it exists for tests that need the noise-free
-    signal component, which the configuration itself cannot express because
-    ``noise_variance`` must stay positive.
-    """
-    k, m = cfg.k_active, cfg.m_antennas
-    # cardinality is all the downstream schemes use; indices are drawn anyway
-    # so the stream layout matches a full system simulation
-    _active = rng.choice(cfg.n_potential, size=k, replace=False)
-    omegas = draw_cfos(cfg.cfo, k, rng)
-    channels = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / _SQRT2
-    rotation = np.vstack([np.ones(k), np.exp(1j * omegas)])
-    samples = rotation @ channels
-    if with_noise:
-        scale = math.sqrt(cfg.noise_variance / 2.0)
-        samples = samples + scale * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
-    return ReceivedPilot(samples=samples)
 
 
 class WishartDraws(NamedTuple):
@@ -232,8 +174,7 @@ def bartlett_covariance(draws: WishartDraws, k_active, m_antennas, noise_varianc
     With Sigma as in the module docstring, L = chol(Sigma) and
     A = [[a11, 0], [a21, a22]], X = L A gives M R = X X^H (Goodman 1963).
     The system parameters are scalars or arrays with one value per slot.
-    The block passes the same checks as ``SampleCovariance`` before it is
-    returned.
+    The block passes ``check_entries`` before it is returned.
     """
     a11 = np.sqrt(draws.gamma_m)
     a22 = np.sqrt(draws.gamma_m1)
@@ -264,10 +205,10 @@ def sample_wishart(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> 
     samples M R ~ CW_2(M, Sigma) by the complex Bartlett decomposition
     (Goodman 1963): with L = chol(Sigma) and A = [[a11, 0], [a21, a22]],
     a11^2 ~ Gamma(M), a22^2 ~ Gamma(M - 1) (zero when M = 1) and
-    a21 ~ CN(0, 1), X = L A gives M R = X X^H.  The result has the law of
-    ``sample_covariance(generate_received(cfg, rng))`` for each slot.  The
-    stream is consumed as ``draw_wishart`` documents, and the entries are
-    formed by ``bartlett_covariance``.
+    a21 ~ CN(0, 1), X = L A gives M R = X X^H, which has the law of the
+    direct model in ``auesim.reference``.  The stream is consumed as
+    ``draw_wishart`` documents, and the entries are formed by
+    ``bartlett_covariance``.
     """
     draws = WishartDraws.empty(trials)
     draw_wishart(cfg, rng, draws)

@@ -6,7 +6,8 @@ two received pilot symbols is
     E[R] = [[K + sigma_z^2,  g],
             [g*,             K + sigma_z^2]],    g = sum_n e^{j omega_n},
 
-whose eigenvalues are K + sigma_z^2 +- |g|.  Averaging over the offset
+whose eigenvalues are K + sigma_z^2 +- |g| (``reference.population_eigenvalues``
+computes them for one realised offset draw).  Averaging over the offset
 distribution replaces e^{j omega} by its mean alpha, which is where the
 second-order moments and the eig-sum error formula below come from.
 """
@@ -15,12 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .covariance import EigenPair
-
-_GAMMA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,25 +42,6 @@ class CovarianceMoments:
     r1_mean: float
     r1_square_mean: float
     r1_r2_mean: float
-
-
-def gamma_exact(omegas: np.ndarray) -> float:
-    """Coherent offset sum |sum_n e^{j omega_n}| for one realized offset draw."""
-    phasor = np.exp(1j * np.asarray(omegas, dtype=float)).sum()
-    return float(abs(phasor))
-
-
-def population_eigenvalues(spec: PopulationSpec, gamma: float) -> EigenPair:
-    """Population covariance eigenvalues K + sigma_z^2 +- gamma.
-
-    ``gamma`` is the realized coherent sum, which the triangle inequality
-    bounds by K; values outside [0, K] are rejected.
-    """
-    k = spec.k_active
-    if gamma < -_GAMMA_TOL or gamma > k * (1.0 + _GAMMA_TOL) + _GAMMA_TOL:
-        raise ValueError(f"gamma must lie in [0, k_active={k}], got {gamma}")
-    level = k + spec.noise_variance
-    return EigenPair(lambda_max=level + gamma, lambda_min=level - gamma)
 
 
 def nrmse_eig_sum_theory(

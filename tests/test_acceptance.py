@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from auesim.covariance import eigenvalues, sample_covariance
 from auesim.estimators import (
     EstimatorContext,
     Scheme,
@@ -33,7 +32,13 @@ from auesim.harness import (
     run_sweep,
     write_csv,
 )
-from auesim.model import CfoModel, ReceivedPilot, SystemConfig, generate_received
+from auesim.model import CfoModel, SystemConfig
+from auesim.reference import (
+    ReceivedPilot,
+    eigenvalues,
+    generate_received,
+    sample_covariance,
+)
 from auesim.theory import PopulationSpec, moment_oracles, nrmse_eig_sum_theory
 
 BASE_CFG = SystemConfig(

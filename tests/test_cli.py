@@ -145,6 +145,15 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_population_above_error_sum_bound_exits_2(self, capsys):
+        """At N = 1e9 the int64 error sums of this run used to wrap (traceback, exit 1)."""
+        argv = ["run", "--n", "1000000000", "--k", "1", "--m", "1", "--snr-db=-80",
+                "--trials", "5000", "--schemes", "eig-sum"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds MAX_POPULATION = 33554431" in captured.err
+
     def test_domain_error_exits_3(self, capsys):
         code = main(["run", "--eps-max", "0.5", "--schemes", "eig-diff", "--trials", "5"])
         assert code == 3
@@ -202,7 +211,8 @@ class TestEntryPoints:
 
     def test_serial_run_loads_no_pool_machinery(self):
         """The process pool is imported only when one starts: importing the CLI and a
-        serial run leave concurrent.futures unloaded."""
+        serial run leave concurrent.futures unloaded.  Neither loads the direct
+        reference model either."""
         src = Path(auesim.cli.__file__).resolve().parents[1]
         code = (
             "import os, sys\n"
@@ -210,6 +220,7 @@ class TestEntryPoints:
             "loaded = ['concurrent.futures' in sys.modules]\n"
             "auesim.cli.main(['run', '--trials', '300', '--out', os.devnull])\n"
             "loaded.append('concurrent.futures' in sys.modules)\n"
+            "loaded.append('auesim.reference' in sys.modules)\n"
             "print(loaded)\n"
         )
         proc = subprocess.run(
@@ -219,7 +230,7 @@ class TestEntryPoints:
             env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False]"
+        assert proc.stdout.strip() == "[False, False, False]"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from auesim.covariance import EigenPair, SampleCovariance, eigenvalues, sample_covariance
-from auesim.model import ReceivedPilot
+from auesim.reference import (
+    EigenPair,
+    ReceivedPilot,
+    SampleCovariance,
+    eigenvalues,
+    sample_covariance,
+)
 
 
 def random_pilot(rng, m=8):

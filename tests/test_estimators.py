@@ -6,28 +6,24 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from auesim.covariance import CovarianceBlock, SampleCovariance, eigenvalues, sample_covariance
+from auesim.covariance import CovarianceBlock
 from auesim.estimators import (
     ALPHA_MIN,
     EstimatorContext,
     EstimatorDomainError,
     Scheme,
     characteristic_function,
-    eig_diff,
     eig_diff_statistic,
-    eig_sum,
     eig_sum_statistic,
     estimate,
-    estimate_array,
     estimate_counts,
-    mle,
     mle_statistic,
     multiplication_count,
-    orthogonal,
     orthogonal_statistic,
     statistic,
 )
-from auesim.model import CfoModel, ReceivedPilot
+from auesim.model import CfoModel
+from auesim.reference import ReceivedPilot, SampleCovariance, eigenvalues, sample_covariance
 
 CTX = EstimatorContext(noise_variance=0.1, alpha=0.8583936913341694, n_potential=100)
 
@@ -149,25 +145,25 @@ class TestStatistics:
 class TestRoundingAndClamping:
     def test_ties_round_away_from_zero(self):
         ctx = EstimatorContext(noise_variance=0.1, alpha=1.0, n_potential=100)
-        assert orthogonal(cov_with_cross(0.5), ctx) == 1
-        assert orthogonal(cov_with_cross(2.5), ctx) == 3
-        assert orthogonal(cov_with_cross(3.5), ctx) == 4
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(0.5), ctx) == 1
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.5), ctx) == 3
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(3.5), ctx) == 4
 
     def test_plain_rounding(self):
         ctx = EstimatorContext(noise_variance=0.1, alpha=1.0, n_potential=100)
-        assert orthogonal(cov_with_cross(2.4), ctx) == 2
-        assert orthogonal(cov_with_cross(2.6), ctx) == 3
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.4), ctx) == 2
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.6), ctx) == 3
 
     def test_negative_values_clamp_to_zero(self):
         ctx = EstimatorContext(noise_variance=1.0, alpha=1.0, n_potential=100)
-        assert orthogonal(cov_with_cross(-0.5), ctx) == 0
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(-0.5), ctx) == 0
         # eig-sum statistic is (0.1 + 0.1)/2 - 1.0 < 0
-        assert eig_sum(SampleCovariance(r1=0.1, r2=0.1, r12=0j), ctx) == 0
+        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=0.1, r2=0.1, r12=0j), ctx) == 0
 
     def test_large_values_clamp_to_population(self):
         ctx = EstimatorContext(noise_variance=0.1, alpha=1.0, n_potential=5)
-        assert orthogonal(cov_with_cross(7.6), ctx) == 5
-        assert eig_sum(SampleCovariance(r1=30.0, r2=30.0, r12=0j), ctx) == 5
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(7.6), ctx) == 5
+        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=30.0, r2=30.0, r12=0j), ctx) == 5
 
     def test_integer_outputs(self):
         rng = np.random.default_rng(46)
@@ -194,7 +190,7 @@ def _round_half_away_clamped(raw, n):
 
 
 class TestEstimateArray:
-    """The batched path must equal scalar ``estimate`` element by element."""
+    """The batched path, ``estimate_counts``, must equal scalar ``estimate`` element by element."""
 
     CTX = EstimatorContext(noise_variance=0.25, alpha=0.5, n_potential=10)
     # (r1, r2, r12) chosen so each scheme lands on exact +-x.5 ties, negative
@@ -228,7 +224,7 @@ class TestEstimateArray:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_matches_scalar_estimate(self, scheme):
         cov = self.block()
-        batch = estimate_array(scheme, cov, self.CTX)
+        batch = estimate_counts((scheme,), cov, self.CTX)[0]
         assert batch.dtype == np.int64
         assert batch.shape == cov.r1.shape
         for i, (r1, r2, r12) in enumerate(zip(*cov)):
@@ -267,7 +263,7 @@ class TestEstimateArray:
         for alpha in (ALPHA_MIN, ALPHA_MIN / 2, 0.0, -0.5):
             ctx = EstimatorContext(noise_variance=0.1, alpha=alpha, n_potential=100)
             with pytest.raises(EstimatorDomainError):
-                estimate_array(Scheme.EIG_DIFF, cov, ctx)
+                estimate_counts((Scheme.EIG_DIFF,), cov, ctx)
             # one covariance below the limit is enough
             per_cov = np.full(cov.r1.shape, 0.5)
             per_cov[-1] = alpha
@@ -278,7 +274,7 @@ class TestEstimateArray:
     def test_rejects_nan_statistic(self):
         cov = CovarianceBlock(r1=np.array([1.0, np.nan]), r2=np.ones(2), r12=np.zeros(2, complex))
         with pytest.raises(ValueError):
-            estimate_array(Scheme.EIG_SUM, cov, self.CTX)
+            estimate_counts((Scheme.EIG_SUM,), cov, self.CTX)
 
 
 class TestEigDiffGuard:
@@ -287,11 +283,11 @@ class TestEigDiffGuard:
         for alpha in (ALPHA_MIN, ALPHA_MIN / 2, 0.0, -0.5):
             ctx = EstimatorContext(noise_variance=0.1, alpha=alpha, n_potential=100)
             with pytest.raises(EstimatorDomainError):
-                eig_diff(cov, ctx)
+                estimate(Scheme.EIG_DIFF, cov, ctx)
 
     def test_accepts_alpha_above_limit(self):
         ctx = EstimatorContext(noise_variance=0.1, alpha=2 * ALPHA_MIN, n_potential=100)
-        assert eig_diff(cov_with_cross(0.001), ctx) >= 0
+        assert estimate(Scheme.EIG_DIFF, cov_with_cross(0.001), ctx) >= 0
 
     def test_domain_error_is_value_error(self):
         assert issubclass(EstimatorDomainError, ValueError)
@@ -299,9 +295,9 @@ class TestEigDiffGuard:
     def test_other_schemes_ignore_alpha(self):
         ctx = EstimatorContext(noise_variance=0.1, alpha=0.0, n_potential=100)
         cov = cov_with_cross(3.0)
-        assert orthogonal(cov, ctx) == 3
-        assert eig_sum(cov, ctx) >= 0
-        assert mle(cov, ctx) >= 0
+        assert estimate(Scheme.ORTHOGONAL, cov, ctx) == 3
+        assert estimate(Scheme.EIG_SUM, cov, ctx) >= 0
+        assert estimate(Scheme.MLE, cov, ctx) >= 0
 
 
 class TestMultiplicationCount:

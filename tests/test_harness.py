@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo runner, sweep plumbing, and output writers."""
 
 import concurrent.futures
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from auesim.harness import (
     BLOCK,
     CSV_HEADER,
     DEFAULT_TRIALS,
+    MAX_POPULATION,
     PASS_BLOCKS,
     ExperimentConfig,
     SweepAxis,
@@ -82,6 +84,47 @@ class TestNrmse:
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             nrmse(np.array([24.0, 26.0]), 25)
+
+    def test_exact_where_int64_squares_overflow(self):
+        # four errors of 2^31 square-sum to 2^64, which int64 wraps to 0
+        assert nrmse(np.full(4, 2**31 + 1, dtype=np.int64), 1) == 2.0**31
+        # a single error of 4e9 squares past 2^63 on its own
+        assert nrmse(np.array([4_000_000_001], dtype=np.int64), 1) == 4e9
+
+
+class TestErrorSumBound:
+    """Squared-error sums stay exact: population sizes whose int64 pass sums
+    could wrap are rejected up front, and totals over passes cannot wrap."""
+
+    def test_bound_keeps_a_full_pass_exact(self):
+        assert PASS_BLOCKS * BLOCK * MAX_POPULATION**2 < 2**63
+        assert PASS_BLOCKS * BLOCK * (MAX_POPULATION + 1) ** 2 >= 2**63
+
+    def test_rejects_population_above_bound(self):
+        cfg = dataclasses.replace(BASE_CFG, n_potential=MAX_POPULATION + 1)
+        with pytest.raises(ValueError, match="MAX_POPULATION"):
+            small_config(base=cfg)
+        for run in (run_point, collect_estimates):
+            with pytest.raises(ValueError, match="MAX_POPULATION"):
+                run(cfg, (Scheme.EIG_SUM,), 10, 7)
+
+    def test_totals_exact_past_int64(self):
+        """At the bound, 40k trials of K=1 at -80 dB square-sum past 2^63; the
+        NRMSE still equals the one of the exact integer sum."""
+        cfg = SystemConfig(
+            n_potential=MAX_POPULATION,
+            k_active=1,
+            m_antennas=1,
+            noise_variance=snr_db_to_noise_variance(-80.0),
+            cfo=CfoModel.uniform(0.15),
+        )
+        trials = 40_000
+        counts = collect_estimates(cfg, (Scheme.EIG_SUM,), trials, 7)[Scheme.EIG_SUM]
+        exact = sum((count - 1) ** 2 for count in counts.tolist())
+        assert exact > 2**63
+        expected = math.sqrt(float(exact) / trials)
+        assert run_point(cfg, (Scheme.EIG_SUM,), trials, 7)[Scheme.EIG_SUM] == expected
+        assert nrmse(counts, 1) == expected
 
 
 class TestPointSeed:

@@ -7,21 +7,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from auesim.covariance import sample_covariance
 from auesim.estimators import characteristic_function
 from auesim.model import (
     CfoKind,
     CfoModel,
-    ReceivedPilot,
     SystemConfig,
     WishartDraws,
     bartlett_covariance,
     draw_cfos,
     draw_wishart,
-    generate_received,
-    phase_rotation,
     sample_wishart,
 )
+from auesim.reference import ReceivedPilot, generate_received, sample_covariance
 from auesim.theory import PopulationSpec, moment_oracles
 
 BASE_CFG = SystemConfig(
@@ -128,17 +125,6 @@ class TestSystemConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SystemConfig(**base)
-
-
-class TestPhaseRotation:
-    def test_zero_offset_is_all_ones(self):
-        np.testing.assert_allclose(phase_rotation(0.0), np.array([1.0, 1.0]), atol=1e-15)
-
-    def test_unit_modulus_and_phase(self):
-        omega = 0.37
-        tau = phase_rotation(omega)
-        np.testing.assert_allclose(np.abs(tau), 1.0, atol=1e-15)
-        assert np.angle(tau[1]) == pytest.approx(omega, rel=1e-12)
 
 
 class TestReceivedPilot:

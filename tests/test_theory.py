@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from auesim.covariance import sample_covariance
 from auesim.estimators import characteristic_function
-from auesim.model import CfoModel, SystemConfig, generate_received
+from auesim.model import CfoModel, SystemConfig
+from auesim.reference import (
+    gamma_exact,
+    generate_received,
+    population_eigenvalues,
+    sample_covariance,
+)
 from auesim.theory import (
     CovarianceMoments,
     PopulationSpec,
-    gamma_exact,
     moment_oracles,
     nrmse_eig_sum_theory,
-    population_eigenvalues,
 )
 
 ALPHA_UNIFORM_015 = 0.8583936913341694
