@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 from auesim import harness
 from auesim.cli import main
 from auesim.estimators import ALPHA_MIN, Scheme, characteristic_function
-from auesim.harness import BLOCK, ExperimentConfig, SweepAxis, SweepSpec, collect_estimates, run_sweep
+from auesim.harness import (
+    BLOCK,
+    ExperimentConfig,
+    SweepAxis,
+    SweepSpec,
+    collect_estimates,
+    run_sweep,
+)
 from auesim.model import CfoKind, CfoModel, SystemConfig
 
 PROFILE = settings(max_examples=20, deadline=None, derandomize=True, database=None)
