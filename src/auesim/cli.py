@@ -9,6 +9,9 @@ values.  Results go to stdout or ``--out`` as CSV or JSON.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
+import os
+import stat
 import sys
 from typing import IO, Sequence
 
@@ -123,6 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser unchanged, so one serves every call of main in a
+    # process; building it anew cost about as much as a small sweep and left
+    # reference cycles that made the garbage collector stall later calls
+    return build_parser()
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfo = CfoModel(kind=CfoKind(args.cfo), epsilon_max=args.eps_max)
     base = SystemConfig(
@@ -154,7 +165,7 @@ def _dump(result, stream: IO[str], fmt: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _build_config(args)
     except ValueError as exc:
@@ -169,9 +180,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         _dump(result, sys.stdout, args.format)
     else:
         newline = "" if args.format == "csv" else None
-        with open(args.out, "w", newline=newline) as stream:
+        with open(args.out, "w", newline=newline, opener=_open_without_truncating) as stream:
             _dump(result, stream, args.format)
+            if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate()
     return 0
+
+
+def _open_without_truncating(path: str, flags: int) -> int:
+    # truncating on open makes some file systems flush the file on close,
+    # which costs more than a whole default run; a regular file is cut to the
+    # written length after writing instead, and devices and pipes are not cut
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 if __name__ == "__main__":

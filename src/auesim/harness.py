@@ -1,33 +1,38 @@
 """Seeded Monte Carlo runner: NRMSE of the counting schemes along one system axis.
 
-Reproducibility contract: the trials of a point are cut into fixed blocks of
-``BLOCK`` consecutive trials, the last one short.  Block ``b`` of a point
-seeded with ``s`` holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` and draws all
-its randomness from the substream ``SeedSequence((s, b))``, in the order
-documented by ``model.draw_wishart``; a sweep point at index ``i`` is seeded
-with ``point_seed(master_seed, i)``.  Estimates are integers, so per-point
-error sums are exact integer arithmetic; together these make every result a
-pure function of the experiment description, independent of worker count,
-pass boundaries and execution order.  Within a trial, one sample covariance
-is shared by all requested schemes so the comparison between schemes is
-paired.
+Reproducibility contract (stream 0.3.0): the trials of a point are cut into
+fixed blocks of ``BLOCK`` consecutive trials, the last one short.  Block
+``b`` holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` and, at every point of
+a run seeded with ``s``, draws all its randomness from the substream
+``SeedSequence((s, b))``, in the order documented by ``model.draw_wishart``.
+That order puts each draw after the draws it depends on: the gammas (M),
+then the normals, then the unit offsets, user-major, which each point scales
+by its own offset bound.  So every point of a sweep draws what ``run_point``
+of its configuration at the same seed draws, and a sweep row equals that
+single run bit for bit.  Estimates are integers, so error sums are exact
+integer arithmetic; together these make every result a pure function of
+the experiment description, independent of worker count, pass boundaries
+and execution order.  Within a trial, one sample covariance is shared by
+all requested schemes, so the comparison between schemes is paired.
 
-Evaluation: a sweep first checks every point, then numbers the blocks of all
-points in one list, point-major, and evaluates them in passes of at most
-``PASS_BLOCKS`` blocks.  Only the draws are made block by block; the
-covariance transform, all schemes' counts and the squared-error sums run
-once per pass, over arrays that may span several points.  A pass keeps only
-its (point, scheme) error sums, so memory does not grow with the trial
-count; ``collect_estimates``, which returns per-trial counts, is the one
-caller that keeps more.  A pass sums in int64, which ``MAX_POPULATION``
-keeps exact, and the totals over passes are Python integers, exact at any
-trial count.  With ``workers > 1`` one process pool serves the
-whole sweep, each worker taking a contiguous range of whole blocks.
+Evaluation: a sweep first checks every point, then numbers the (block,
+point) units of all points in one list, block-major, and evaluates them in
+passes of at most ``PASS_BLOCKS`` units, whole blocks where they fit.
+Within a pass, the points of one block that share M and the CFO kind draw
+once, sized for their largest K, so an SNR sweep draws each block once and
+a K sweep forms the phasors of its largest K only.  The covariance
+transform, all schemes' counts and the squared-error sums run once per
+pass, over arrays that span several points.  A pass keeps only its
+(point, scheme) error sums, so memory does not grow with the trial count;
+``collect_estimates``, which returns per-trial counts, is the one caller
+that keeps more.  A pass sums in int64, which ``MAX_POPULATION`` keeps
+exact, and the totals over passes are Python integers, exact at any trial
+count.  With ``workers > 1`` one process pool serves the whole sweep, each
+worker taking a contiguous range of units.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import dataclasses
 import enum
@@ -35,7 +40,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,9 +63,9 @@ DEFAULT_TRIALS = 20_000
 # changes which substream every trial draws from
 BLOCK = 256
 
-# blocks evaluated together in one vectorised pass; it bounds the memory of a
-# run and changes no result, since blocks are seeded one by one and error
-# sums are exact
+# (block, point) units evaluated together in one vectorised pass; it bounds
+# the memory of a run and changes no result, since blocks are seeded one by
+# one and error sums are exact
 PASS_BLOCKS = 32
 
 # largest population size N whose squared count errors, each at most N^2,
@@ -203,16 +208,6 @@ def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -
     return dataclasses.replace(base, k_active=int(value))
 
 
-def point_seed(master_seed: int, point_index: int) -> int:
-    """Seed of sweep point ``point_index``, hashed from the master seed.
-
-    Feeding this back into ``run_point`` reproduces any single output row
-    without rerunning the rest of the sweep.
-    """
-    sequence = np.random.SeedSequence((master_seed, point_index))
-    return int(sequence.generate_state(1, np.uint64)[0])
-
-
 def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
     """Root mean squared count error, normalized by the true count."""
     if k_true < 1:
@@ -237,16 +232,10 @@ class _Point:
     """One operating point to simulate, with the alpha its schemes and theory use."""
 
     cfg: SystemConfig
-    seed: int
-    trials: int
     alpha: float
 
-    @property
-    def blocks(self) -> int:
-        return -(-self.trials // BLOCK)
 
-
-def _plan_point(cfg: SystemConfig, schemes: tuple[Scheme, ...], trials: int, seed: int) -> _Point:
+def _plan_point(cfg: SystemConfig, schemes: tuple[Scheme, ...], trials: int) -> _Point:
     """Check the request, and that every scheme is defined at ``cfg``, before any trial runs."""
     if not schemes:
         raise ValueError("at least one scheme is required")
@@ -255,7 +244,7 @@ def _plan_point(cfg: SystemConfig, schemes: tuple[Scheme, ...], trials: int, see
     _check_population(cfg.n_potential)
     alpha = characteristic_function(cfg.cfo)
     check_domain(schemes, alpha)
-    return _Point(cfg=cfg, seed=seed, trials=trials, alpha=alpha)
+    return _Point(cfg=cfg, alpha=alpha)
 
 
 def _per_trial(values: list, lengths: list[int]):
@@ -266,34 +255,35 @@ def _per_trial(values: list, lengths: list[int]):
 
 
 def _evaluate_pass(
-    points: Sequence[_Point], schemes: tuple[Scheme, ...], offsets: list[int], first: int, stop: int
-) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Counts and squared-error sums of blocks ``first`` up to ``stop``.
+    points: Sequence[_Point], schemes: tuple[Scheme, ...], trials: int, seed: int, first: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and squared-error sums of units ``first`` up to ``stop``.
 
-    Blocks are numbered over all points, point-major, and point ``p`` owns
-    numbers ``offsets[p]`` up to ``offsets[p + 1]``.  Each block draws from
-    its own seeded generator; everything after the draws runs once over the
-    whole pass.  Returns the (schemes, trials) counts, the indices of the
-    points the pass covers, and their (schemes, points) sums of squared
-    count errors.
+    Unit ``u`` is block ``u // P`` of point ``u % P``, for the ``P`` points,
+    each of ``trials`` trials.  The units of one block that share M and the
+    CFO kind draw together from one generator seeded ``(seed, block)``;
+    everything after the draws runs once over the whole pass.  Returns the
+    (schemes, trials) counts in unit order and the (schemes, points) sums of
+    squared count errors.
     """
-    spans = []  # (point, first block, stop block), blocks numbered within the point
-    point = bisect.bisect_right(offsets, first) - 1
-    while first < stop:
-        end = min(stop, offsets[point + 1])
-        spans.append((point, first - offsets[point], end - offsets[point]))
-        first, point = end, point + 1
-    covered = [points[p] for p, _, _ in spans]
-    lengths = [min(pt.trials, hi * BLOCK) - lo * BLOCK for pt, (_, lo, hi) in zip(covered, spans)]
-    draws = model.WishartDraws.empty(sum(lengths))
-    start = 0
-    for pt, (_, lo, hi) in zip(covered, spans):
-        for block in range(lo, hi):
-            size = min(BLOCK, pt.trials - block * BLOCK)
-            rng = np.random.default_rng(np.random.SeedSequence((pt.seed, block)))
-            model.draw_wishart(pt.cfg, rng, draws.part(start, start + size))
-            start += size
+    units = [divmod(u, len(points)) for u in range(first, stop)]
+    lengths = [min(BLOCK, trials - block * BLOCK) for block, _ in units]
+    starts = list(accumulate(lengths, initial=0))
+    draws = model.WishartDraws.empty(starts[-1])
+    for block, members in groupby(range(len(units)), key=lambda i: units[i][0]):
+        groups: dict[tuple, list[int]] = {}
+        for i in members:
+            cfg = points[units[i][1]].cfg
+            groups.setdefault((cfg.m_antennas, cfg.cfo.kind), []).append(i)
+        for group in groups.values():
+            rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+            model.draw_wishart(
+                [points[units[i][1]].cfg for i in group],
+                rng,
+                [draws.part(starts[i], starts[i + 1]) for i in group],
+            )
 
+    covered = [points[p] for _, p in units]
     k_active = _per_trial([pt.cfg.k_active for pt in covered], lengths)
     noise_variance = _per_trial([pt.cfg.noise_variance for pt in covered], lengths)
     m_antennas = _per_trial([pt.cfg.m_antennas for pt in covered], lengths)
@@ -307,51 +297,63 @@ def _evaluate_pass(
     counts = estimate_counts(schemes, cov, ctx)
     errors = counts - k_active
     errors *= errors
-    sums = np.add.reduceat(errors, list(accumulate(lengths[:-1], initial=0)), axis=1)
-    return counts, [p for p, _, _ in spans], sums
+    sums = np.zeros((len(schemes), len(points)), dtype=np.int64)
+    np.add.at(sums, (slice(None), [p for _, p in units]), np.add.reduceat(errors, starts[:-1], axis=1))
+    return counts, sums
 
 
 def _evaluate_blocks(
-    points: Sequence[_Point], schemes: tuple[Scheme, ...], first: int, stop: int, keep: bool
+    points: Sequence[_Point],
+    schemes: tuple[Scheme, ...],
+    trials: int,
+    seed: int,
+    first: int,
+    stop: int,
+    keep: bool,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Blocks ``first`` up to ``stop`` in passes of at most ``PASS_BLOCKS`` blocks.
+    """Units ``first`` up to ``stop`` in passes of at most ``PASS_BLOCKS`` units.
 
-    Returns the (schemes, points) sums of squared count errors, as Python
-    integers, and, when ``keep`` is set, the counts of every pass in order.
+    A pass takes whole blocks of all points when they fit, so that no
+    block's draws are split between passes.  Returns the (schemes, points)
+    sums of squared count errors, as Python integers, and, when ``keep`` is
+    set, the counts of every pass in order.
     """
-    offsets = list(accumulate((pt.blocks for pt in points), initial=0))
+    step = PASS_BLOCKS // len(points) * len(points) or PASS_BLOCKS
     sums = np.zeros((len(schemes), len(points)), dtype=object)
     kept = []
-    for start in range(first, stop, PASS_BLOCKS):
-        counts, covered, pass_sums = _evaluate_pass(
-            points, schemes, offsets, start, min(start + PASS_BLOCKS, stop)
-        )
-        sums[:, covered] += pass_sums.astype(object)
+    for start in range(first, stop, step):
+        counts, pass_sums = _evaluate_pass(points, schemes, trials, seed, start, min(start + step, stop))
+        sums += pass_sums.astype(object)
         if keep:
             kept.append(counts)
     return sums, kept
 
 
 def _evaluate(
-    points: Sequence[_Point], schemes: tuple[Scheme, ...], workers: int, keep: bool
+    points: Sequence[_Point],
+    schemes: tuple[Scheme, ...],
+    trials: int,
+    seed: int,
+    workers: int,
+    keep: bool,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``_evaluate_blocks`` over every block of ``points``, on at most ``workers`` processes.
+    """``_evaluate_blocks`` over every unit of ``points``, on at most ``workers`` processes.
 
-    At most ``min(workers, blocks, cpu count)`` processes run, in one pool,
-    each on a contiguous range of whole blocks; one means no pool at all.
+    At most ``min(workers, units, cpu count)`` processes run, in one pool,
+    each on a contiguous range of units; one means no pool at all.
     """
-    blocks = sum(pt.blocks for pt in points)
+    units = -(-trials // BLOCK) * len(points)
     if workers > 1:
-        workers = min(workers, blocks, os.cpu_count() or 1)
+        workers = min(workers, units, os.cpu_count() or 1)
     if workers <= 1:
-        return _evaluate_blocks(points, schemes, 0, blocks, keep)
+        return _evaluate_blocks(points, schemes, trials, seed, 0, units, keep)
     # imported here so that serial runs do not pay for the pool machinery at start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [blocks * w // workers for w in range(workers + 1)]
+    bounds = [units * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_evaluate_blocks, points, schemes, lo, hi, keep)
+            pool.submit(_evaluate_blocks, points, schemes, trials, seed, lo, hi, keep)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         parts = [future.result() for future in futures]
@@ -375,7 +377,8 @@ def collect_estimates(
     pool at all.
     """
     schemes = tuple(schemes)
-    _, kept = _evaluate([_plan_point(cfg, schemes, trials, seed)], schemes, workers, keep=True)
+    point = _plan_point(cfg, schemes, trials)
+    _, kept = _evaluate([point], schemes, trials, seed, workers, keep=True)
     return dict(zip(schemes, np.concatenate(kept, axis=1)))
 
 
@@ -389,7 +392,8 @@ def run_point(
 ) -> dict[Scheme, float]:
     """Per-scheme NRMSE at one operating point, in memory bounded by the pass size."""
     schemes = tuple(schemes)
-    sums, _ = _evaluate([_plan_point(cfg, schemes, trials, seed)], schemes, workers, keep=False)
+    point = _plan_point(cfg, schemes, trials)
+    sums, _ = _evaluate([point], schemes, trials, seed, workers, keep=False)
     return {
         scheme: _nrmse_of_sum(int(total), trials, cfg.k_active)
         for scheme, total in zip(schemes, sums[:, 0])
@@ -408,15 +412,14 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> SweepResult:
     values: tuple[float | None, ...]
     values = config.sweep.values if axis is not SweepAxis.NONE else (None,)
     points = []
-    for index, value in enumerate(values):
+    for value in values:
         cfg = apply_axis_value(config.base, axis, value)
-        seed = point_seed(config.master_seed, index)
         try:
-            points.append(_plan_point(cfg, config.schemes, config.trials, seed))
+            points.append(_plan_point(cfg, config.schemes, config.trials))
         except EstimatorDomainError as exc:
             where = "single point" if value is None else f"{axis.value} = {value}"
             raise EstimatorDomainError(f"{where}: {exc}") from exc
-    sums, _ = _evaluate(points, config.schemes, workers, keep=False)
+    sums, _ = _evaluate(points, config.schemes, config.trials, config.master_seed, workers, keep=False)
     rows: list[SweepRow] = []
     for value, point, point_sums in zip(values, points, sums.T):
         cfg = point.cfg
@@ -488,5 +491,4 @@ def _row_payload(row: SweepRow) -> Mapping[str, object]:
 
 def write_json(result: SweepResult, stream: IO[str]) -> None:
     """Write the rows as a JSON array of objects, one object per result row."""
-    json.dump([_row_payload(row) for row in result.rows], stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps([_row_payload(row) for row in result.rows], indent=2) + "\n")

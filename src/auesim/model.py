@@ -17,9 +17,10 @@ Given the offsets, the M columns of Y are i.i.d. CN(0, Sigma) with
 
 so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma).
 ``sample_wishart`` draws it directly in O(K) per trial; the simulation runs
-its two halves, ``draw_wishart`` once per seeded block and
-``bartlett_covariance`` once over many blocks.  Y itself is synthesised
-only by the direct model in ``auesim.reference``, for the tests.
+its two halves, ``draw_wishart`` once per seeded block for all the
+configurations that can share its draws, and ``bartlett_covariance`` once
+over many blocks.  Y itself is synthesised only by the direct model in
+``auesim.reference``, for the tests.
 """
 
 from __future__ import annotations
@@ -27,13 +28,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .covariance import CovarianceBlock, check_entries
 
 _SQRT2 = math.sqrt(2.0)
+
+# unit offsets drawn and phased at a time per block; bounds the transient
+# memory of a block without changing a bit of its draws
+CHUNK_DRAWS = 2**16
 
 
 class CfoKind(enum.Enum):
@@ -150,22 +155,75 @@ class WishartDraws(NamedTuple):
         return WishartDraws(*(values[start:stop] for values in self))
 
 
-def draw_wishart(cfg: SystemConfig, rng: np.random.Generator, out: WishartDraws) -> None:
-    """Fill ``out`` with the random inputs of ``len(out.g)`` slots drawn from ``rng``.
+def draw_wishart(
+    cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs: Sequence[WishartDraws]
+) -> None:
+    """Fill ``outs[i]`` with the random inputs of ``cfgs[i]``, all from one block's stream ``rng``.
 
-    Draw order is fixed: all ``trials * K`` offsets (slot-major), then the
-    ``trials`` a11^2 draws, the ``trials`` a22^2 draws, and last the real
-    parts and then the imaginary parts of the ``trials`` a21 draws.  Only
-    the phasor sums of the offsets are kept.
+    The configurations share M and the CFO kind, and the records share their
+    size B; K, epsilon and the noise may differ.  Draw order is fixed: B
+    a11^2 ~ Gamma(M), B a22^2 ~ Gamma(M - 1), the 2B normals behind a21 (the
+    real parts, then the imaginary parts), and last the unit offsets,
+    user-major: B for user 0, then B for user 1, up to the largest K.  They
+    are u ~ U(-1, 1) for uniform CFO and z ~ N(0, 1) for Gaussian CFO, and
+    configuration i scales them by its omega_max or omega_max / 3.  So every
+    configuration gets exactly the draws it would get alone, and one with K
+    users reads the first K*B offsets.  Only the phasor sums g are kept, each
+    the running sum of the phasors added one user row at a time.
     """
-    trials = out.g.size
-    omegas = draw_cfos(cfg.cfo, trials * cfg.k_active, rng).reshape(trials, cfg.k_active)
-    np.exp(1j * omegas).sum(axis=1, out=out.g)
-    rng.standard_gamma(cfg.m_antennas, out=out.gamma_m)
+    first = outs[0]
+    kind, m_antennas = cfgs[0].cfo.kind, cfgs[0].m_antennas
+    if any(cfg.cfo.kind is not kind or cfg.m_antennas != m_antennas for cfg in cfgs):
+        raise ValueError("configurations that draw together must share M and the CFO kind")
+    rng.standard_gamma(m_antennas, out=first.gamma_m)
     # shape 0 yields exact zeros without consuming the stream
-    rng.standard_gamma(cfg.m_antennas - 1, out=out.gamma_m1)
-    rng.standard_normal(out=out.re)
-    rng.standard_normal(out=out.im)
+    rng.standard_gamma(m_antennas - 1, out=first.gamma_m1)
+    # two calls that consume the stream as one call of 2B would
+    rng.standard_normal(out=first.re)
+    rng.standard_normal(out=first.im)
+    for out in outs[1:]:
+        # every field but g: the gammas and the normals
+        for shared, values in zip(out[1:], first[1:]):
+            shared[...] = values
+    _phasor_sums(cfgs, rng, outs)
+
+
+def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -> None:
+    """Draw the unit offsets of ``draw_wishart`` and write each configuration's g.
+
+    Users are drawn and phased ``CHUNK_DRAWS // B`` at a time, carrying the
+    running sums, so transient memory does not grow with K and the result is
+    bit for bit that of one chunk.  Phasors are formed once per distinct
+    scale, for the largest K at that scale.
+    """
+    trials = outs[0].g.size
+    gaussian = cfgs[0].cfo.kind is CfoKind.GAUSSIAN
+    # scale -> K -> the g records that take the running sum after K users
+    wanted: dict[float, dict[int, list[np.ndarray]]] = {}
+    for cfg, out in zip(cfgs, outs):
+        scale = 0.0 if cfg.cfo.kind is CfoKind.NONE else cfg.cfo.omega_max / (3.0 if gaussian else 1.0)
+        if scale == 0.0 or cfg.k_active == 0:
+            # every phasor is exactly 1, so the running sum is exactly K
+            out.g[...] = cfg.k_active
+        else:
+            wanted.setdefault(scale, {}).setdefault(cfg.k_active, []).append(out.g)
+    if not wanted:
+        return
+    users = max(max(targets) for targets in wanted.values())
+    sums = {scale: np.zeros(trials, complex) for scale in wanted}
+    step = max(1, CHUNK_DRAWS // trials)
+    for lo in range(0, users, step):
+        rows = min(step, users - lo)
+        unit = rng.standard_normal((rows, trials)) if gaussian else rng.uniform(-1.0, 1.0, (rows, trials))
+        for scale, targets in wanted.items():
+            needed = min(rows, max(targets) - lo)
+            if needed <= 0:
+                continue
+            total = sums[scale]
+            for user, phasor in enumerate(np.exp(1j * (scale * unit[:needed])), start=lo + 1):
+                total += phasor
+                for g in targets.get(user, ()):
+                    g[...] = total
 
 
 def bartlett_covariance(draws: WishartDraws, k_active, m_antennas, noise_variance) -> CovarianceBlock:
@@ -211,5 +269,5 @@ def sample_wishart(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> 
     ``bartlett_covariance``.
     """
     draws = WishartDraws.empty(trials)
-    draw_wishart(cfg, rng, draws)
+    draw_wishart((cfg,), rng, (draws,))
     return bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)

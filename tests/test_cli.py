@@ -13,7 +13,7 @@ import pytest
 
 import auesim.cli
 from auesim.cli import build_parser, main
-from auesim.harness import CSV_HEADER, DEFAULT_TRIALS
+from auesim.harness import BLOCK, CSV_HEADER, DEFAULT_TRIALS
 
 
 def read_csv(text):
@@ -36,6 +36,29 @@ class TestParserDefaults:
         assert args.out == "-"
         assert args.format == "csv"
         assert args.workers == 1
+
+    def test_main_builds_one_parser_and_keeps_it_unchanged(self, monkeypatch, capsys):
+        built = []
+        real_build = auesim.cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(auesim.cli, "build_parser", counting_build)
+        auesim.cli._parser.cache_clear()
+        try:
+            argv = ["run", "--trials", "3", "--k", "2", "--schemes", "mle", "--seed", "4"]
+            assert main(argv) == 0
+            first = capsys.readouterr().out
+            assert main(["run", "--trials", "3", "--schemes", "mle"]) == 0
+            assert main(argv) == 0
+            assert capsys.readouterr().out.endswith(first)
+            assert len(built) == 1
+            defaults = vars(auesim.cli._parser().parse_args(["run"]))
+            assert defaults == vars(real_build().parse_args(["run"]))
+        finally:
+            auesim.cli._parser.cache_clear()
 
     def test_scheme_names_accept_underscores(self):
         args = build_parser().parse_args(["run", "--schemes", "eig_sum,MLE"])
@@ -107,6 +130,22 @@ class TestRunCommand:
         payload = json.loads(out.read_text())
         assert payload[0]["scheme"] == "orthogonal"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_overwrites_longer_file(self, tmp_path, capsys, fmt):
+        argv = ["run", "--trials", "15", "--schemes", "orthogonal", "--format", fmt]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        out = tmp_path / "point.out"
+        out.write_bytes(b"x" * (10 * len(expected)))
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+    def test_output_to_device_exits_0(self, capsys):
+        if not os.path.exists(os.devnull):
+            pytest.skip(f"no {os.devnull} on this platform")
+        assert main(["run", "--trials", "15", "--schemes", "orthogonal", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
 
 class TestSweepCommand:
     def test_axis_rows(self, capsys):
@@ -132,6 +171,29 @@ class TestSweepCommand:
         assert [row[0] for row in lines[1:]] == ["k", "k"]
         assert [row[1] for row in lines[1:]] == ["5", "10"]
         assert all(row[4] != "" for row in lines[1:])
+
+    @pytest.mark.parametrize(
+        "axis,values,flag,extra",
+        [
+            ("snr", "-5,0,20", "--snr-db", ["--n", "4", "--k", "2", "--m", "2"]),
+            ("k", "40,1,10", "--k", ["--n", "40", "--cfo", "gaussian", "--eps-max", "0.2"]),
+            ("m", "1,2,8", "--m", ["--cfo", "gaussian"]),
+            ("epsilon", "0,0.1,0.25", "--eps-max", ["--schemes", "eig-sum,eig-diff"]),
+        ],
+    )
+    def test_sweep_rows_equal_run_rows(self, capsys, axis, values, flag, extra):
+        """Every sweep row is the row of ``run`` at its configuration and the same seed."""
+        common = [*extra, "--trials", str(2 * BLOCK + 7), "--seed", "21", "--theory"]
+        assert main(["sweep", "--axis", axis, f"--values={values}", *common]) == 0
+        swept = read_csv(capsys.readouterr().out)[1:]
+        alone = []
+        for value in values.split(","):
+            assert main(["run", f"{flag}={value}", *common]) == 0
+            alone += read_csv(capsys.readouterr().out)[1:]
+        assert len(swept) == len(alone) > 0
+        for row, single in zip(swept, alone):
+            assert row[0] == axis and single[:2] == ["none", ""]
+            assert row[2:] == single[2:], (row, single)
 
     def test_epsilon_axis_formats_values(self, capsys):
         main(["sweep", "--axis", "epsilon", "--values", "0.1,0.15", "--schemes", "mle", "--trials", "10"])

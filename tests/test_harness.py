@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from auesim import estimators, model
+from auesim import estimators, harness, model
 from auesim.estimators import EstimatorDomainError, Scheme, characteristic_function
 from auesim.harness import (
     BLOCK,
@@ -27,7 +27,6 @@ from auesim.harness import (
     apply_axis_value,
     collect_estimates,
     nrmse,
-    point_seed,
     run_point,
     run_sweep,
     snr_db_to_noise_variance,
@@ -127,17 +126,95 @@ class TestErrorSumBound:
         assert nrmse(counts, 1) == expected
 
 
+def record_draws(monkeypatch):
+    """Wrap ``model.draw_wishart``; returns the list of the arguments of every call."""
+    calls = []
+    real_draw = model.draw_wishart
+
+    def recording_draw(*args):
+        calls.append(args)
+        real_draw(*args)
+
+    monkeypatch.setattr(model, "draw_wishart", recording_draw)
+    return calls
+
+
 class TestPointSeed:
-    def test_deterministic(self):
-        assert point_seed(123, 4) == point_seed(123, 4)
+    """Every point of a run is seeded with the run's master seed, and block b of
+    every point draws from the substream (master seed, b)."""
 
-    def test_distinct_across_indices_and_masters(self):
-        seeds = {point_seed(m, i) for m in range(8) for i in range(8)}
-        assert len(seeds) == 64
+    def test_deterministic(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        config = small_config(trials=BLOCK + 1, master_seed=123)
+        first = run_sweep(config)
+        entropies = [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls]
+        # the M axis shares no draws: one generator per (block, point), block-major
+        assert entropies == [(123, 0), (123, 0), (123, 1), (123, 1)]
+        assert run_sweep(config) == first
+        assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls[4:]] == entropies
 
-    def test_unsigned_64_bit(self):
-        for i in range(16):
-            assert 0 <= point_seed(99, i) < 2**64
+    def test_distinct_across_indices_and_masters(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        firsts = set()
+        for master in range(8):
+            calls.clear()
+            run_point(BASE_CFG, (Scheme.MLE,), 8 * BLOCK, seed=master)
+            assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls] == [
+                (master, block) for block in range(8)
+            ]
+        for master in range(8):
+            for block in range(8):
+                rng = np.random.default_rng(np.random.SeedSequence((master, block)))
+                firsts.add(rng.standard_gamma(BASE_CFG.m_antennas))
+        assert len(firsts) == 64
+
+    def test_unsigned_64_bit(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        for seed in (0, 2**64 - 1):
+            calls.clear()
+            run_sweep(small_config(master_seed=seed, trials=5))
+            assert {rng.bit_generator.seed_seq.entropy for _, rng, _ in calls} == {(seed, 0)}
+        with pytest.raises(ValueError):
+            small_config(master_seed=2**64)
+
+
+class TestSharedDraws:
+    """Points of a sweep that differ only in what the draws do not depend on share them."""
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [
+            (SweepAxis.SNR_DB, (-5.0, 0.0, 5.0, 10.0, 20.0)),
+            (SweepAxis.ACTIVE_USERS, (5.0, 15.0, 25.0)),
+            (SweepAxis.EPSILON_MAX, (0.0, 0.1, 0.25)),
+        ],
+    )
+    def test_sweep_draws_each_block_once(self, monkeypatch, axis, values):
+        calls = record_draws(monkeypatch)
+        config = small_config(sweep=SweepSpec(axis=axis, values=values), trials=2 * BLOCK + 50)
+        run_sweep(config)
+        assert len(calls) == 3
+        assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls] == [(7, 0), (7, 1), (7, 2)]
+        for cfgs, _, _ in calls:
+            assert list(cfgs) == [apply_axis_value(BASE_CFG, axis, v) for v in values]
+        sizes = [[out.g.size for out in outs] for _, _, outs in calls]
+        assert sizes == [[BLOCK] * len(values)] * 2 + [[50] * len(values)]
+
+    def test_antenna_sweep_shares_nothing(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        run_sweep(small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(1.0, 2.0, 8.0))))
+        assert [[cfg.m_antennas for cfg in cfgs] for cfgs, _, _ in calls] == [[1], [2], [8]]
+
+    def test_rows_equal_at_any_pass_size(self, monkeypatch):
+        """Pass boundaries that split a block's points change no row."""
+        config = small_config(
+            sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(25.0, 5.0, 15.0)),
+            trials=3 * BLOCK + 5,
+        )
+        expected = run_sweep(config)
+        for pass_blocks in (1, 2, 4):
+            monkeypatch.setattr(harness, "PASS_BLOCKS", pass_blocks)
+            assert run_sweep(config) == expected
 
 
 def fake_pool(monkeypatch):
@@ -266,13 +343,6 @@ class TestRunPoint:
         """Each trial is drawn once, from one generator per (seed, block), and all
         schemes read the same covariance arrays."""
         trials = 2 * BLOCK + 50
-        draws = []
-        real_draw = model.draw_wishart
-
-        def recording_draw(cfg, rng, out):
-            draws.append((rng, out.g.size))
-            real_draw(cfg, rng, out)
-
         read = {}
         for scheme, real_statistic in list(estimators._STATISTICS.items()):
 
@@ -281,11 +351,11 @@ class TestRunPoint:
                 return real_statistic(cov, ctx)
 
             monkeypatch.setitem(estimators._STATISTICS, scheme, recording_statistic)
-        monkeypatch.setattr(model, "draw_wishart", recording_draw)
+        draws = record_draws(monkeypatch)
         run_point(BASE_CFG, ALL_SCHEMES, trials, seed=5)
-        assert [size for _, size in draws] == [BLOCK, BLOCK, 50]
-        assert [rng.bit_generator.seed_seq.entropy for rng, _ in draws] == [(5, 0), (5, 1), (5, 2)]
-        assert len({id(rng) for rng, _ in draws}) == len(draws)
+        assert [[out.g.size for out in outs] for _, _, outs in draws] == [[BLOCK], [BLOCK], [50]]
+        assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in draws] == [(5, 0), (5, 1), (5, 2)]
+        assert len({id(rng) for _, rng, _ in draws}) == len(draws)
         assert list(read) == list(ALL_SCHEMES)
         assert all(len(calls) == 1 for calls in read.values())
         covs = [calls[0] for calls in read.values()]
@@ -320,6 +390,22 @@ class TestMemory:
 
         pass_trials = PASS_BLOCKS * BLOCK
         small, large = peak(2 * pass_trials), peak(8 * pass_trials)
+        assert large <= 1.25 * small, (small, large)
+
+    def test_peak_does_not_grow_with_active_users(self):
+        """Offsets are drawn and phased in chunks, so one block at K = 2^14 peaks
+        like one at K = 2^12."""
+
+        def peak(k_active):
+            cfg = dataclasses.replace(BASE_CFG, n_potential=2**14, k_active=k_active)
+            tracemalloc.start()
+            try:
+                run_point(cfg, ALL_SCHEMES, BLOCK, seed=43)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2**12), peak(2**14)
         assert large <= 1.25 * small, (small, large)
 
 
@@ -456,13 +542,22 @@ class TestRunSweep:
         assert all(row.scheme is Scheme.ORTHOGONAL for row in rows)
 
     def test_rows_reproducible_from_point_seed(self):
-        """Documented contract: a row can be recomputed without the sweep."""
-        config = small_config(schemes=(Scheme.MLE,), emit_theory=False)
-        result = run_sweep(config)
-        for index, value in enumerate(config.sweep.values):
-            cfg = apply_axis_value(config.base, config.sweep.axis, value)
-            redone = run_point(cfg, config.schemes, config.trials, point_seed(config.master_seed, index))
-            assert redone[Scheme.MLE] == result.rows[index].nrmse_sim
+        """Documented contract: a row is run_point of its configuration at the master seed."""
+        for axis, values in [
+            (SweepAxis.ANTENNAS, (1.0, 8.0, 16.0)),
+            (SweepAxis.SNR_DB, (0.0, 10.0)),
+            (SweepAxis.ACTIVE_USERS, (40.0, 1.0, 25.0)),
+            (SweepAxis.EPSILON_MAX, (0.25, 0.0)),
+        ]:
+            config = small_config(
+                schemes=(Scheme.MLE,), emit_theory=False, trials=BLOCK + 3,
+                sweep=SweepSpec(axis=axis, values=values),
+            )
+            result = run_sweep(config)
+            for index, value in enumerate(values):
+                cfg = apply_axis_value(config.base, axis, value)
+                redone = run_point(cfg, config.schemes, config.trials, config.master_seed)
+                assert redone[Scheme.MLE] == result.rows[index].nrmse_sim, (axis, value)
 
     def test_domain_error_names_offending_axis_value(self):
         """eig-diff cannot run where the characteristic function vanishes."""

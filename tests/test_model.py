@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from auesim import model
 from auesim.estimators import characteristic_function
 from auesim.model import (
     CfoKind,
@@ -298,7 +299,7 @@ class TestSampleWishart:
         parts = []
         for i, (cfg, size) in enumerate(zip(cfgs, sizes)):
             draws = WishartDraws.empty(size)
-            draw_wishart(cfg, np.random.default_rng(7206 + i), draws)
+            draw_wishart((cfg,), np.random.default_rng(7206 + i), (draws,))
             parts.append(draws)
         joined = WishartDraws(*(np.concatenate(column) for column in zip(*parts)))
 
@@ -314,3 +315,62 @@ class TestSampleWishart:
             for entry, expected in zip(block, alone):
                 assert entry[start : start + size].tobytes() == expected.tobytes()
             start += size
+
+
+def _drawn(cfgs, trials, seed):
+    """The records ``draw_wishart`` fills for ``cfgs`` from one generator seeded ``seed``."""
+    outs = [WishartDraws.empty(trials) for _ in cfgs]
+    draw_wishart(cfgs, np.random.default_rng(seed), outs)
+    return outs
+
+
+def _same_bytes(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+class TestDrawWishart:
+    """Stream 0.3.0: configurations that share M and the CFO kind share one block's draws."""
+
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    def test_group_draws_equal_separate_draws(self, kind):
+        cfgs = [
+            dataclasses.replace(BASE_CFG, cfo=CfoModel(kind, 0.15)),
+            dataclasses.replace(BASE_CFG, k_active=3, noise_variance=2.5, cfo=CfoModel(kind, 0.15)),
+            dataclasses.replace(BASE_CFG, k_active=40, cfo=CfoModel(kind, 0.3)),
+            dataclasses.replace(BASE_CFG, k_active=7, cfo=CfoModel(kind, 0.0)),
+            dataclasses.replace(BASE_CFG, k_active=0, cfo=CfoModel(kind, 0.3)),
+        ]
+        together = _drawn(cfgs, 37, 7301)
+        for cfg, out in zip(cfgs, together):
+            assert _same_bytes(out, _drawn([cfg], 37, 7301)[0])
+
+    def test_offsets_nest_along_k(self):
+        """A point with K users reads the first K user rows of a larger K's draws."""
+        small, large = _drawn([dataclasses.replace(BASE_CFG, k_active=5), BASE_CFG], 64, 7302)
+        rng = np.random.default_rng(7302)
+        # the gammas and the normals come first
+        rng.standard_gamma(32, 64), rng.standard_gamma(31, 64), rng.standard_normal(128)
+        unit = rng.uniform(-1.0, 1.0, (25, 64))
+        phasors = np.exp(1j * (BASE_CFG.cfo.omega_max * unit))
+        assert small.g.tobytes() == np.cumsum(phasors[:5], axis=0)[-1].tobytes()
+        assert large.g.tobytes() == np.cumsum(phasors, axis=0)[-1].tobytes()
+
+    def test_zero_offsets_sum_to_k_exactly(self):
+        (out,) = _drawn([dataclasses.replace(BASE_CFG, cfo=CfoModel.uniform(0.0))], 20, 7303)
+        assert np.all(out.g == BASE_CFG.k_active)
+
+    @pytest.mark.parametrize("chunk", [1, 300, 2**20])
+    def test_chunks_change_no_bit(self, monkeypatch, chunk):
+        cfgs = [BASE_CFG, dataclasses.replace(BASE_CFG, k_active=13, cfo=CfoModel.uniform(0.4))]
+        expected = _drawn(cfgs, 40, 7304)
+        monkeypatch.setattr(model, "CHUNK_DRAWS", chunk)
+        for out, want in zip(_drawn(cfgs, 40, 7304), expected):
+            assert _same_bytes(out, want)
+
+    def test_rejects_configurations_that_cannot_share(self):
+        for other in (
+            dataclasses.replace(BASE_CFG, m_antennas=8),
+            dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.15)),
+        ):
+            with pytest.raises(ValueError, match="share M and the CFO kind"):
+                _drawn([BASE_CFG, other], 4, 7305)
