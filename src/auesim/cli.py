@@ -2,13 +2,15 @@
 
 Two subcommands share one set of system flags: ``run`` simulates the base
 configuration as a single point, ``sweep`` varies one axis over a list of
-values.  Results go to stdout or ``--out`` as CSV or JSON.  Exit codes:
-0 success, 2 bad configuration or arguments, 3 estimator domain error.
+values; both build one ``ExperimentConfig`` and hand it to ``run_sweep``.
+Results go to stdout or ``--out`` as CSV or JSON.  Exit codes: 0 success,
+2 bad configuration, arguments or output path, 3 estimator domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import stat
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     system.add_argument(
         "--cfo",
-        choices=[CfoKind.UNIFORM.value, CfoKind.GAUSSIAN.value],
+        choices=[kind.value for kind in CfoKind],
         default=CfoKind.UNIFORM.value,
         help="CFO distribution (default uniform); --eps-max 0 disables offsets",
     )
@@ -157,34 +159,44 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _dump(result, stream: IO[str], fmt: str) -> None:
+def _dump(rows, stream: IO[str], fmt: str) -> None:
     if fmt == "csv":
-        write_csv(result, stream)
+        write_csv(rows, stream)
     else:
-        write_json(result, stream)
+        write_json(rows, stream)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _build_config(args)
-    except ValueError as exc:
+        # the output is opened before the run, so that a path that cannot be
+        # written fails at once; a file is neither cut nor written until the
+        # rows are ready, so an existing one keeps its bytes on a failing exit
+        created = args.out != "-" and not os.path.lexists(args.out)
+        output = _open_output(args.out, args.format)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = run_sweep(config, workers=args.workers)
-    except EstimatorDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if args.out == "-":
-        _dump(result, sys.stdout, args.format)
-    else:
-        newline = "" if args.format == "csv" else None
-        with open(args.out, "w", newline=newline, opener=_open_without_truncating) as stream:
-            _dump(result, stream, args.format)
-            if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                stream.truncate()
+    with output as stream:
+        try:
+            rows = run_sweep(config, workers=args.workers)
+        except EstimatorDomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if created:
+                os.remove(args.out)
+            return 3
+        _dump(rows, stream, args.format)
+        if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+            stream.truncate()
     return 0
+
+
+def _open_output(path: str, fmt: str):
+    """Context manager of the output stream: stdout for '-', else the file at ``path``."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="" if fmt == "csv" else None, opener=_open_without_truncating)
 
 
 def _open_without_truncating(path: str, flags: int) -> int:

@@ -80,9 +80,9 @@ def characteristic_function(cfo: CfoModel) -> float:
     """alpha = E[e^{j omega}] of the offset distribution; real since omega is symmetric.
 
     Uniform on [-a, a] gives sin(a)/a with a = 2*pi*epsilon_max; Gaussian with
-    std a/3 gives exp(-a^2/18); no offset gives 1.
+    std a/3 gives exp(-a^2/18); no offset (epsilon_max = 0) gives 1.
     """
-    if cfo.kind is CfoKind.NONE or cfo.epsilon_max == 0.0:
+    if cfo.epsilon_max == 0.0:
         return 1.0
     bound = cfo.omega_max
     if cfo.kind is CfoKind.UNIFORM:

@@ -1,5 +1,11 @@
 """Seeded Monte Carlo runner: NRMSE of the counting schemes along one system axis.
 
+An ``ExperimentConfig`` describes a run and is checked, point by point,
+when it is built; ``run_sweep`` turns it into ``SweepRow`` results, and a
+single point is a sweep of one.  ``collect_estimates`` returns the
+per-trial counts of one point instead; it builds the same one-point
+configuration, so every request is checked the same way.
+
 Reproducibility contract (stream 0.3.0): the trials of a point are cut into
 fixed blocks of ``BLOCK`` consecutive trials, the last one short.  Block
 ``b`` holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` and, at every point of
@@ -7,13 +13,14 @@ a run seeded with ``s``, draws all its randomness from the substream
 ``SeedSequence((s, b))``, in the order documented by ``model.draw_wishart``.
 That order puts each draw after the draws it depends on: the gammas (M),
 then the normals, then the unit offsets, user-major, which each point scales
-by its own offset bound.  So every point of a sweep draws what ``run_point``
-of its configuration at the same seed draws, and a sweep row equals that
-single run bit for bit.  Estimates are integers, so error sums are exact
-integer arithmetic; together these make every result a pure function of
-the experiment description, independent of worker count, pass boundaries
-and execution order.  Within a trial, one sample covariance is shared by
-all requested schemes, so the comparison between schemes is paired.
+by its own offset bound.  So every point of a sweep draws what the
+one-point run of its configuration at the same seed draws, and a sweep row
+equals that single run bit for bit.  Estimates are integers, so error sums
+are exact integer arithmetic; together these make every result a pure
+function of the experiment description, independent of worker count, pass
+boundaries and execution order.  Within a trial, one sample covariance is
+shared by all requested schemes, so the comparison between schemes is
+paired.
 
 Evaluation: a sweep first checks every point, then numbers the (block,
 point) units of all points in one list, block-major, and evaluates them in
@@ -36,6 +43,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import functools
 import json
 import math
 import os
@@ -90,7 +98,12 @@ _INTEGER_AXES = frozenset({SweepAxis.ANTENNAS, SweepAxis.ACTIVE_USERS})
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axis and ordered values of one sweep; ``NONE`` with no values is a single point."""
+    """Axis and ordered values of one sweep; ``NONE`` with no values is a single point.
+
+    Only the shape of the values is checked here: their number, that they
+    are finite, and that the M and K axes take integers.  Whether a value is
+    in range for its axis is checked by the configuration it builds.
+    """
 
     axis: SweepAxis
     values: tuple[float, ...] = ()
@@ -109,12 +122,6 @@ class SweepSpec:
                 raise ValueError(f"sweep values must be finite, got {v}")
             if self.axis in _INTEGER_AXES and not v.is_integer():
                 raise ValueError(f"axis '{self.axis.value}' takes integer values, got {v}")
-            if self.axis is SweepAxis.EPSILON_MAX and v < 0.0:
-                raise ValueError(f"epsilon values must be >= 0, got {v}")
-            if self.axis is SweepAxis.ANTENNAS and v < 1:
-                raise ValueError(f"antenna counts must be >= 1, got {v}")
-            if self.axis is SweepAxis.ACTIVE_USERS and v < 1:
-                raise ValueError(f"active-user counts must be >= 1, got {v}")
 
     @classmethod
     def single_point(cls) -> "SweepSpec":
@@ -125,6 +132,9 @@ class SweepSpec:
 class ExperimentConfig:
     """Complete description of one experiment; results are a pure function of it.
 
+    This is the one request the runners take, and building it checks all of
+    it: the schemes, trials and seed, and the configuration of every point,
+    which ``points`` holds in sweep order.  A single point is a sweep of one.
     ``schemes`` is an ordered tuple rather than a set: output rows follow it,
     and a canonical order is what makes repeated runs byte-identical.
     """
@@ -149,13 +159,24 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed}")
-        if self.base.k_active < 1:
-            raise ValueError("k_active must be >= 1 (errors are normalized by the true count)")
-        _check_population(self.base.n_potential)
-        # surface bad axis values (e.g. k above the population size) at build
-        # time instead of mid-run
-        for value in self.sweep.values:
-            apply_axis_value(self.base, self.sweep.axis, value)
+        if self.base.n_potential > MAX_POPULATION:
+            raise ValueError(f"population size {self.base.n_potential} exceeds MAX_POPULATION = "
+                             f"{MAX_POPULATION}, the largest whose error sums stay exact in int64")
+        for cfg in self.points:
+            if cfg.k_active < 1:
+                raise ValueError(
+                    f"k_active must be >= 1 (errors are normalized by the true count), got {cfg.k_active}"
+                )
+
+    @property
+    def axis_values(self) -> tuple[float | None, ...]:
+        """The sweep values, or ``(None,)`` for a single point."""
+        return self.sweep.values or (None,)
+
+    @functools.cached_property
+    def points(self) -> tuple[SystemConfig, ...]:
+        """The configuration of every point, in the order of ``axis_values``."""
+        return tuple(apply_axis_value(self.base, self.sweep.axis, v) for v in self.axis_values)
 
 
 @dataclass(frozen=True)
@@ -171,25 +192,14 @@ class SweepRow:
     seed: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-    def for_scheme(self, scheme: Scheme) -> tuple[SweepRow, ...]:
-        return tuple(row for row in self.rows if row.scheme is scheme)
-
-
 def snr_db_to_noise_variance(snr_db: float) -> float:
     """Noise power at unit per-user receive power: sigma_z^2 = 10^(-SNR/10)."""
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
-    return 10.0 ** (-snr_db / 10.0)
-
-
-def _check_population(n_potential: int) -> None:
-    if n_potential > MAX_POPULATION:
-        raise ValueError(f"population size {n_potential} exceeds MAX_POPULATION = "
-                         f"{MAX_POPULATION}, the largest whose error sums stay exact in int64")
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db = {snr_db} gives a noise power past the float range") from None
 
 
 def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -> SystemConfig:
@@ -227,24 +237,23 @@ def _nrmse_of_sum(squared_sum: int, trials: int, k_true: int) -> float:
     return math.sqrt(float(squared_sum) / trials) / k_true
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One operating point to simulate, with the alpha its schemes and theory use."""
+def _alphas(config: ExperimentConfig) -> list[float]:
+    """The alpha of every point, once every scheme is known to be defined there.
 
-    cfg: SystemConfig
-    alpha: float
-
-
-def _plan_point(cfg: SystemConfig, schemes: tuple[Scheme, ...], trials: int) -> _Point:
-    """Check the request, and that every scheme is defined at ``cfg``, before any trial runs."""
-    if not schemes:
-        raise ValueError("at least one scheme is required")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_population(cfg.n_potential)
-    alpha = characteristic_function(cfg.cfo)
-    check_domain(schemes, alpha)
-    return _Point(cfg=cfg, alpha=alpha)
+    This check belongs to the run, not to the configuration: an undefined
+    scheme is an ``EstimatorDomainError``, which callers tell apart from a
+    bad configuration.
+    """
+    alphas = []
+    for value, cfg in zip(config.axis_values, config.points):
+        alpha = characteristic_function(cfg.cfo)
+        try:
+            check_domain(config.schemes, alpha)
+        except EstimatorDomainError as exc:
+            where = "single point" if value is None else f"{config.sweep.axis.value} = {value}"
+            raise EstimatorDomainError(f"{where}: {exc}") from exc
+        alphas.append(alpha)
+    return alphas
 
 
 def _per_trial(values: list, lengths: list[int]):
@@ -255,17 +264,18 @@ def _per_trial(values: list, lengths: list[int]):
 
 
 def _evaluate_pass(
-    points: Sequence[_Point], schemes: tuple[Scheme, ...], trials: int, seed: int, first: int, stop: int
+    config: ExperimentConfig, alphas: Sequence[float], first: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts and squared-error sums of units ``first`` up to ``stop``.
 
-    Unit ``u`` is block ``u // P`` of point ``u % P``, for the ``P`` points,
-    each of ``trials`` trials.  The units of one block that share M and the
-    CFO kind draw together from one generator seeded ``(seed, block)``;
+    Unit ``u`` is block ``u // P`` of point ``u % P``, for the ``P`` points
+    of ``config``.  The units of one block that share M and the CFO kind
+    draw together from one generator seeded ``(master seed, block)``;
     everything after the draws runs once over the whole pass.  Returns the
     (schemes, trials) counts in unit order and the (schemes, points) sums of
     squared count errors.
     """
+    points, trials = config.points, config.trials
     units = [divmod(u, len(points)) for u in range(first, stop)]
     lengths = [min(BLOCK, trials - block * BLOCK) for block, _ in units]
     starts = list(accumulate(lengths, initial=0))
@@ -273,43 +283,37 @@ def _evaluate_pass(
     for block, members in groupby(range(len(units)), key=lambda i: units[i][0]):
         groups: dict[tuple, list[int]] = {}
         for i in members:
-            cfg = points[units[i][1]].cfg
+            cfg = points[units[i][1]]
             groups.setdefault((cfg.m_antennas, cfg.cfo.kind), []).append(i)
         for group in groups.values():
-            rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+            rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, block)))
             model.draw_wishart(
-                [points[units[i][1]].cfg for i in group],
+                [points[units[i][1]] for i in group],
                 rng,
                 [draws.part(starts[i], starts[i + 1]) for i in group],
             )
 
     covered = [points[p] for _, p in units]
-    k_active = _per_trial([pt.cfg.k_active for pt in covered], lengths)
-    noise_variance = _per_trial([pt.cfg.noise_variance for pt in covered], lengths)
-    m_antennas = _per_trial([pt.cfg.m_antennas for pt in covered], lengths)
+    k_active = _per_trial([cfg.k_active for cfg in covered], lengths)
+    noise_variance = _per_trial([cfg.noise_variance for cfg in covered], lengths)
+    m_antennas = _per_trial([cfg.m_antennas for cfg in covered], lengths)
     cov = model.bartlett_covariance(draws, k_active, m_antennas, noise_variance)
     ctx = EstimatorContext(
         noise_variance=noise_variance,
-        alpha=_per_trial([pt.alpha for pt in covered], lengths),
+        alpha=_per_trial([alphas[p] for _, p in units], lengths),
         # no sweep axis changes the population size
-        n_potential=covered[0].cfg.n_potential,
+        n_potential=config.base.n_potential,
     )
-    counts = estimate_counts(schemes, cov, ctx)
+    counts = estimate_counts(config.schemes, cov, ctx)
     errors = counts - k_active
     errors *= errors
-    sums = np.zeros((len(schemes), len(points)), dtype=np.int64)
+    sums = np.zeros((len(config.schemes), len(points)), dtype=np.int64)
     np.add.at(sums, (slice(None), [p for _, p in units]), np.add.reduceat(errors, starts[:-1], axis=1))
     return counts, sums
 
 
 def _evaluate_blocks(
-    points: Sequence[_Point],
-    schemes: tuple[Scheme, ...],
-    trials: int,
-    seed: int,
-    first: int,
-    stop: int,
-    keep: bool,
+    config: ExperimentConfig, alphas: Sequence[float], first: int, stop: int, keep: bool
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Units ``first`` up to ``stop`` in passes of at most ``PASS_BLOCKS`` units.
 
@@ -318,11 +322,12 @@ def _evaluate_blocks(
     sums of squared count errors, as Python integers, and, when ``keep`` is
     set, the counts of every pass in order.
     """
-    step = PASS_BLOCKS // len(points) * len(points) or PASS_BLOCKS
-    sums = np.zeros((len(schemes), len(points)), dtype=object)
+    points = len(config.points)
+    step = PASS_BLOCKS // points * points or PASS_BLOCKS
+    sums = np.zeros((len(config.schemes), points), dtype=object)
     kept = []
     for start in range(first, stop, step):
-        counts, pass_sums = _evaluate_pass(points, schemes, trials, seed, start, min(start + step, stop))
+        counts, pass_sums = _evaluate_pass(config, alphas, start, min(start + step, stop))
         sums += pass_sums.astype(object)
         if keep:
             kept.append(counts)
@@ -330,30 +335,25 @@ def _evaluate_blocks(
 
 
 def _evaluate(
-    points: Sequence[_Point],
-    schemes: tuple[Scheme, ...],
-    trials: int,
-    seed: int,
-    workers: int,
-    keep: bool,
+    config: ExperimentConfig, alphas: Sequence[float], workers: int, keep: bool
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``_evaluate_blocks`` over every unit of ``points``, on at most ``workers`` processes.
+    """``_evaluate_blocks`` over every unit of ``config``, on at most ``workers`` processes.
 
     At most ``min(workers, units, cpu count)`` processes run, in one pool,
     each on a contiguous range of units; one means no pool at all.
     """
-    units = -(-trials // BLOCK) * len(points)
+    units = -(-config.trials // BLOCK) * len(config.points)
     if workers > 1:
         workers = min(workers, units, os.cpu_count() or 1)
     if workers <= 1:
-        return _evaluate_blocks(points, schemes, trials, seed, 0, units, keep)
+        return _evaluate_blocks(config, alphas, 0, units, keep)
     # imported here so that serial runs do not pay for the pool machinery at start-up
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [units * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_evaluate_blocks, points, schemes, trials, seed, lo, hi, keep)
+            pool.submit(_evaluate_blocks, config, alphas, lo, hi, keep)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         parts = [future.result() for future in futures]
@@ -368,70 +368,37 @@ def collect_estimates(
     *,
     workers: int = 1,
 ) -> dict[Scheme, np.ndarray]:
-    """Integer estimates of every scheme over ``trials`` seeded trials.
+    """Integer estimates of every scheme over ``trials`` seeded trials at ``cfg``.
 
-    Block ``b`` draws from substream ``(seed, b)`` and every scheme sees the
-    same sample covariances, so outputs are deterministic in ``seed`` and do
-    not depend on ``workers``.  At most ``min(workers, blocks, cpu count)``
-    processes run, each on a contiguous range of whole blocks; one means no
-    pool at all.
+    The request is checked as the one-point ``ExperimentConfig`` it builds,
+    and its trials are the ones ``run_sweep`` of that configuration draws,
+    so outputs are deterministic in ``seed`` and do not depend on
+    ``workers``.
     """
-    schemes = tuple(schemes)
-    point = _plan_point(cfg, schemes, trials)
-    _, kept = _evaluate([point], schemes, trials, seed, workers, keep=True)
-    return dict(zip(schemes, np.concatenate(kept, axis=1)))
+    config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
+    _, kept = _evaluate(config, _alphas(config), workers, keep=True)
+    return dict(zip(config.schemes, np.concatenate(kept, axis=1)))
 
 
-def run_point(
-    cfg: SystemConfig,
-    schemes: Iterable[Scheme],
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-) -> dict[Scheme, float]:
-    """Per-scheme NRMSE at one operating point, in memory bounded by the pass size."""
-    schemes = tuple(schemes)
-    point = _plan_point(cfg, schemes, trials)
-    sums, _ = _evaluate([point], schemes, trials, seed, workers, keep=False)
-    return {
-        scheme: _nrmse_of_sum(int(total), trials, cfg.k_active)
-        for scheme, total in zip(schemes, sums[:, 0])
-    }
-
-
-def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> SweepResult:
-    """Run every sweep point and collect one row per (axis value, scheme).
+def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, ...]:
+    """Run every point of ``config`` and return one row per (axis value, scheme).
 
     All points are checked before any trial runs, and their blocks are
     evaluated together, in one pool when ``workers`` allows.  The theory
     column is attached to eig-sum rows when ``emit_theory`` is set and left
     empty everywhere else.
     """
-    axis = config.sweep.axis
-    values: tuple[float | None, ...]
-    values = config.sweep.values if axis is not SweepAxis.NONE else (None,)
-    points = []
-    for value in values:
-        cfg = apply_axis_value(config.base, axis, value)
-        try:
-            points.append(_plan_point(cfg, config.schemes, config.trials))
-        except EstimatorDomainError as exc:
-            where = "single point" if value is None else f"{axis.value} = {value}"
-            raise EstimatorDomainError(f"{where}: {exc}") from exc
-    sums, _ = _evaluate(points, config.schemes, config.trials, config.master_seed, workers, keep=False)
+    alphas = _alphas(config)
+    sums, _ = _evaluate(config, alphas, workers, keep=False)
     rows: list[SweepRow] = []
-    for value, point, point_sums in zip(values, points, sums.T):
-        cfg = point.cfg
+    for value, cfg, alpha, point_sums in zip(config.axis_values, config.points, alphas, sums.T):
         theory_value = None
         if config.emit_theory:
-            theory_value = nrmse_eig_sum_theory(
-                cfg.k_active, cfg.m_antennas, cfg.noise_variance, point.alpha
-            )
+            theory_value = nrmse_eig_sum_theory(cfg.k_active, cfg.m_antennas, cfg.noise_variance, alpha)
         for scheme, total in zip(config.schemes, point_sums):
             rows.append(
                 SweepRow(
-                    axis=axis.value,
+                    axis=config.sweep.axis.value,
                     axis_value=value,
                     scheme=scheme,
                     nrmse_sim=_nrmse_of_sum(int(total), config.trials, cfg.k_active),
@@ -440,7 +407,7 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> SweepResult:
                     seed=config.master_seed,
                 )
             )
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)
 
 
 def _format_float(x: float) -> str:
@@ -455,11 +422,11 @@ def _format_axis_value(value: float | None) -> str:
     return str(int(v)) if v.is_integer() else _format_float(v)
 
 
-def write_csv(result: SweepResult, stream: IO[str]) -> None:
+def write_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     """Write one header line plus one line per result row."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in result.rows:
+    for row in rows:
         writer.writerow(
             [
                 row.axis,
@@ -489,6 +456,6 @@ def _row_payload(row: SweepRow) -> Mapping[str, object]:
     }
 
 
-def write_json(result: SweepResult, stream: IO[str]) -> None:
+def write_json(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     """Write the rows as a JSON array of objects, one object per result row."""
-    stream.write(json.dumps([_row_payload(row) for row in result.rows], indent=2) + "\n")
+    stream.write(json.dumps([_row_payload(row) for row in rows], indent=2) + "\n")

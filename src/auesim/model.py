@@ -40,13 +40,17 @@ _SQRT2 = math.sqrt(2.0)
 # memory of a block without changing a bit of its draws
 CHUNK_DRAWS = 2**16
 
+# largest noise power accepted: it keeps (K + sigma_z^2)^2 some eight orders
+# of magnitude below the float maximum, so that products of two covariance
+# entries, such as the determinant r1*r2 - |r12|^2, stay finite
+MAX_NOISE_VARIANCE = 1e150
+
 
 class CfoKind(enum.Enum):
     """Distribution family of the per-user normalized frequency offset."""
 
     UNIFORM = "uniform"
     GAUSSIAN = "gaussian"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class CfoModel:
     ``UNIFORM`` draws omega uniformly on [-2*pi*epsilon_max, 2*pi*epsilon_max].
     ``GAUSSIAN`` draws omega from N(0, (2*pi*epsilon_max / 3)^2), untruncated,
     so the nominal worst case sits at three standard deviations.
-    ``NONE`` pins every offset to zero and ignores ``epsilon_max``.
+    ``epsilon_max = 0`` pins every offset to zero under either kind.
     """
 
     kind: CfoKind
@@ -79,10 +83,6 @@ class CfoModel:
     def gaussian(cls, epsilon_max: float) -> "CfoModel":
         return cls(kind=CfoKind.GAUSSIAN, epsilon_max=epsilon_max)
 
-    @classmethod
-    def none(cls) -> "CfoModel":
-        return cls(kind=CfoKind.NONE, epsilon_max=0.0)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -93,7 +93,8 @@ class SystemConfig:
             [0, n_potential].
         k_active: number of users actually transmitting in the pilot slot.
         m_antennas: receive array size M.
-        noise_variance: per-entry noise power sigma_z^2 (linear, > 0).
+        noise_variance: per-entry noise power sigma_z^2 (linear, in
+            (0, MAX_NOISE_VARIANCE]).
         cfo: offset distribution shared by all users.
     """
 
@@ -112,24 +113,15 @@ class SystemConfig:
             )
         if self.m_antennas < 1:
             raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
-        if not math.isfinite(self.noise_variance) or self.noise_variance <= 0.0:
-            raise ValueError(f"noise_variance must be finite and > 0, got {self.noise_variance}")
+        if not 0.0 < self.noise_variance <= MAX_NOISE_VARIANCE:
+            raise ValueError(
+                f"noise_variance must lie in (0, {MAX_NOISE_VARIANCE:g}], got {self.noise_variance}"
+            )
 
     @property
     def snr_db(self) -> float:
         """Per-user SNR in dB implied by unit receive power: -10*log10(sigma_z^2)."""
         return -10.0 * math.log10(self.noise_variance)
-
-
-def draw_cfos(cfo: CfoModel, k_active: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``k_active`` offsets omega (radians per symbol) from the CFO model."""
-    if k_active < 0:
-        raise ValueError(f"k_active must be >= 0, got {k_active}")
-    if cfo.kind is CfoKind.UNIFORM:
-        return rng.uniform(-cfo.omega_max, cfo.omega_max, size=k_active)
-    if cfo.kind is CfoKind.GAUSSIAN:
-        return rng.normal(0.0, cfo.omega_max / 3.0, size=k_active)
-    return np.zeros(k_active)
 
 
 class WishartDraws(NamedTuple):
@@ -201,7 +193,7 @@ def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -
     # scale -> K -> the g records that take the running sum after K users
     wanted: dict[float, dict[int, list[np.ndarray]]] = {}
     for cfg, out in zip(cfgs, outs):
-        scale = 0.0 if cfg.cfo.kind is CfoKind.NONE else cfg.cfo.omega_max / (3.0 if gaussian else 1.0)
+        scale = cfg.cfo.omega_max / (3.0 if gaussian else 1.0)
         if scale == 0.0 or cfg.k_active == 0:
             # every phasor is exactly 1, so the running sum is exactly K
             out.g[...] = cfg.k_active

@@ -1,8 +1,9 @@
 """Direct 2 x M pilot model, the reference the tests check the Wishart sampler against.
 
 ``generate_received`` synthesises the block Y of ``auesim.model`` channel by
-channel and ``sample_covariance`` forms R = Y Y^H / M from it.  The
-simulation never runs this code, and no production module imports it.
+channel, with offsets from ``draw_cfos``, and ``sample_covariance`` forms
+R = Y Y^H / M from it.  The simulation never runs this code, and no
+production module imports it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import check_entries
-from .model import SystemConfig, draw_cfos
+from .model import CfoKind, CfoModel, SystemConfig
 from .theory import PopulationSpec
 
 _SQRT2 = math.sqrt(2.0)
@@ -46,6 +47,15 @@ class ReceivedPilot:
     @property
     def y2(self) -> np.ndarray:
         return self.samples[1]
+
+
+def draw_cfos(cfo: CfoModel, k_active: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``k_active`` offsets omega (radians per symbol) from the CFO model."""
+    if k_active < 0:
+        raise ValueError(f"k_active must be >= 0, got {k_active}")
+    if cfo.kind is CfoKind.UNIFORM:
+        return rng.uniform(-cfo.omega_max, cfo.omega_max, size=k_active)
+    return rng.normal(0.0, cfo.omega_max / 3.0, size=k_active)
 
 
 def generate_received(

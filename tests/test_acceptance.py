@@ -110,7 +110,7 @@ def test_criterion_2_antenna_scaling():
         sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(16.0, 32.0, 64.0, 128.0)),
         emit_theory=True,
     )
-    rows = run_sweep(config).rows
+    rows = run_sweep(config)
     ratios = {int(row.axis_value): row.nrmse_sim / row.nrmse_theory for row in rows}
     sim = {int(row.axis_value): row.nrmse_sim for row in rows}
     scale = sim[32] / sim[128]
@@ -318,7 +318,7 @@ def test_criterion_8_robustness_to_active_count():
         sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 15.0, 25.0, 35.0, 45.0)),
         emit_theory=True,
     )
-    rows = run_sweep(config).rows
+    rows = run_sweep(config)
     ratios = {int(row.axis_value): row.nrmse_sim / row.nrmse_theory for row in rows}
     ok = all(abs(r - 1.0) <= 0.05 for r in ratios.values())
     detail = ", ".join(f"K={k}: sim/theory={r:.4f}" for k, r in sorted(ratios.items())) + " (limit 1.05)"

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -215,6 +217,68 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds MAX_POPULATION = 33554431" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--snr-db=-4000"],  # 10^400 overflowed in the dB conversion
+            ["run", "--snr-db=-3080"],  # finite, but r1 overflowed to inf mid-run
+            ["run", "--snr-db=-1500.1"],
+            ["sweep", "--axis", "snr", "--values=10,-4000"],
+            ["sweep", "--axis", "snr", "--values=10,-3080"],
+        ],
+        ids=["run-4000", "run-3080", "run-1500.1", "sweep-4000", "sweep-3080"],
+    )
+    def test_noise_power_past_bound_exits_2(self, capsys, argv):
+        """Both used to end in a traceback with exit 1, the second only mid-run."""
+        assert main([*argv, "--m", "1", "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_noise_power_just_inside_bound_runs(self, capsys):
+        """At sigma^2 = 10^149.9 and M = 1 every covariance product stays finite:
+        no overflow warning, and finite rows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--m", "1", "--snr-db=-1499", "--trials", str(BLOCK + 1), "--theory"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert len(rows) == 4
+        assert all(math.isfinite(float(row["nrmse_sim"])) for row in rows)
+
+    @pytest.mark.parametrize("target", ["missing/point.csv", "."])
+    def test_unwritable_output_exits_2_before_the_run(self, tmp_path, monkeypatch, capsys, target):
+        """A path in a missing directory, or a directory, used to fail with a
+        traceback and exit 1 after the whole run."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(auesim.cli, "run_sweep", no_run)
+        assert main(["run", "--trials", "5", "--out", str(tmp_path / target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["run", "--k", "300", "--trials", "5"], 2),
+            (["run", "--eps-max", "0.5", "--schemes", "eig-diff", "--trials", "5"], 3),
+        ],
+    )
+    def test_failing_exit_keeps_existing_output(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "point.csv"
+        out.write_bytes(b"earlier results\n")
+        assert main([*argv, "--out", str(out)]) == code
+        assert out.read_bytes() == b"earlier results\n"
+        fresh = tmp_path / "fresh.csv"
+        assert main([*argv, "--out", str(fresh)]) == code
+        assert not fresh.exists()
+        capsys.readouterr()
 
     def test_domain_error_exits_3(self, capsys):
         code = main(["run", "--eps-max", "0.5", "--schemes", "eig-diff", "--trials", "5"])

@@ -49,7 +49,6 @@ class TestCharacteristicFunction:
         )
 
     def test_no_offset_gives_one(self):
-        assert characteristic_function(CfoModel.none()) == 1.0
         assert characteristic_function(CfoModel.uniform(0.0)) == 1.0
         assert characteristic_function(CfoModel.gaussian(0.0)) == 1.0
 

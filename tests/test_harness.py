@@ -21,13 +21,11 @@ from auesim.harness import (
     PASS_BLOCKS,
     ExperimentConfig,
     SweepAxis,
-    SweepResult,
     SweepRow,
     SweepSpec,
     apply_axis_value,
     collect_estimates,
     nrmse,
-    run_point,
     run_sweep,
     snr_db_to_noise_variance,
     write_csv,
@@ -57,6 +55,12 @@ def small_config(**overrides):
     )
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+def point_nrmse(cfg, schemes, trials, seed):
+    """Per-scheme NRMSE at one operating point: the rows of its one-point sweep."""
+    config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
+    return {row.scheme: row.nrmse_sim for row in run_sweep(config)}
 
 
 class TestNrmse:
@@ -103,7 +107,7 @@ class TestErrorSumBound:
         cfg = dataclasses.replace(BASE_CFG, n_potential=MAX_POPULATION + 1)
         with pytest.raises(ValueError, match="MAX_POPULATION"):
             small_config(base=cfg)
-        for run in (run_point, collect_estimates):
+        for run in (point_nrmse, collect_estimates):
             with pytest.raises(ValueError, match="MAX_POPULATION"):
                 run(cfg, (Scheme.EIG_SUM,), 10, 7)
 
@@ -122,7 +126,7 @@ class TestErrorSumBound:
         exact = sum((count - 1) ** 2 for count in counts.tolist())
         assert exact > 2**63
         expected = math.sqrt(float(exact) / trials)
-        assert run_point(cfg, (Scheme.EIG_SUM,), trials, 7)[Scheme.EIG_SUM] == expected
+        assert point_nrmse(cfg, (Scheme.EIG_SUM,), trials, 7)[Scheme.EIG_SUM] == expected
         assert nrmse(counts, 1) == expected
 
 
@@ -158,7 +162,7 @@ class TestPointSeed:
         firsts = set()
         for master in range(8):
             calls.clear()
-            run_point(BASE_CFG, (Scheme.MLE,), 8 * BLOCK, seed=master)
+            point_nrmse(BASE_CFG, (Scheme.MLE,), 8 * BLOCK, seed=master)
             assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls] == [
                 (master, block) for block in range(8)
             ]
@@ -320,7 +324,7 @@ class TestCollectEstimates:
             raise AssertionError("a serial run asked for the cpu count")
 
         monkeypatch.setattr(os, "cpu_count", cpu_count)
-        run_point(BASE_CFG, ALL_SCHEMES, 3 * BLOCK, seed=1)
+        point_nrmse(BASE_CFG, ALL_SCHEMES, 3 * BLOCK, seed=1)
 
     def test_more_workers_than_trials(self):
         serial = collect_estimates(BASE_CFG, (Scheme.MLE,), 3, seed=10)
@@ -333,10 +337,26 @@ class TestCollectEstimates:
         with pytest.raises(ValueError):
             collect_estimates(BASE_CFG, (Scheme.MLE,), 0, seed=1)
 
+    def test_rejects_duplicate_schemes(self):
+        """A repeated scheme is an error, as in a sweep, not a silently shorter result."""
+        with pytest.raises(ValueError, match="duplicate schemes"):
+            collect_estimates(BASE_CFG, (Scheme.MLE, Scheme.MLE), 10, seed=1)
+
+    def test_rejects_seed_past_64_bits(self):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            collect_estimates(BASE_CFG, (Scheme.MLE,), 10, seed=2**64)
+
+    def test_rejects_zero_active_users(self):
+        cfg = dataclasses.replace(BASE_CFG, k_active=0)
+        with pytest.raises(ValueError, match="k_active must be >= 1"):
+            collect_estimates(cfg, (Scheme.MLE,), 10, seed=1)
+
 
 class TestRunPoint:
+    """A single operating point, run as a one-point sweep."""
+
     def test_keys_follow_requested_schemes(self):
-        out = run_point(BASE_CFG, (Scheme.MLE, Scheme.EIG_SUM), 30, seed=2)
+        out = point_nrmse(BASE_CFG, (Scheme.MLE, Scheme.EIG_SUM), 30, seed=2)
         assert list(out) == [Scheme.MLE, Scheme.EIG_SUM]
 
     def test_one_sample_per_trial_shared_by_schemes(self, monkeypatch):
@@ -352,7 +372,7 @@ class TestRunPoint:
 
             monkeypatch.setitem(estimators._STATISTICS, scheme, recording_statistic)
         draws = record_draws(monkeypatch)
-        run_point(BASE_CFG, ALL_SCHEMES, trials, seed=5)
+        point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=5)
         assert [[out.g.size for out in outs] for _, _, outs in draws] == [[BLOCK], [BLOCK], [50]]
         assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in draws] == [(5, 0), (5, 1), (5, 2)]
         assert len({id(rng) for _, rng, _ in draws}) == len(draws)
@@ -365,25 +385,25 @@ class TestRunPoint:
 
     def test_matches_nrmse_of_collected_estimates(self):
         estimates = collect_estimates(BASE_CFG, (Scheme.EIG_SUM,), 200, seed=3)
-        out = run_point(BASE_CFG, (Scheme.EIG_SUM,), 200, seed=3)
+        out = point_nrmse(BASE_CFG, (Scheme.EIG_SUM,), 200, seed=3)
         assert out[Scheme.EIG_SUM] == nrmse(estimates[Scheme.EIG_SUM], BASE_CFG.k_active)
 
     def test_tracks_theory_at_reference_point(self):
         """A moderate run should land within 5% of the closed-form value, any seed."""
         alpha = characteristic_function(BASE_CFG.cfo)
         expected = nrmse_eig_sum_theory(25, 32, 0.1, alpha)
-        out = run_point(BASE_CFG, (Scheme.EIG_SUM,), 5000, seed=31)
+        out = point_nrmse(BASE_CFG, (Scheme.EIG_SUM,), 5000, seed=31)
         assert out[Scheme.EIG_SUM] == pytest.approx(expected, rel=0.05)
 
 
 class TestMemory:
     def test_peak_does_not_grow_with_trials(self):
-        """run_point holds one pass at a time, so 8x the pass size peaks like 2x."""
+        """A run holds one pass at a time, so 8x the pass size peaks like 2x."""
 
         def peak(trials):
             tracemalloc.start()
             try:
-                run_point(BASE_CFG, ALL_SCHEMES, trials, seed=41)
+                point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=41)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -400,7 +420,7 @@ class TestMemory:
             cfg = dataclasses.replace(BASE_CFG, n_potential=2**14, k_active=k_active)
             tracemalloc.start()
             try:
-                run_point(cfg, ALL_SCHEMES, BLOCK, seed=43)
+                point_nrmse(cfg, ALL_SCHEMES, BLOCK, seed=43)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -450,10 +470,7 @@ class TestSweepSpec:
         "axis,value",
         [
             (SweepAxis.ANTENNAS, 2.5),
-            (SweepAxis.ANTENNAS, 0.0),
             (SweepAxis.ACTIVE_USERS, 7.5),
-            (SweepAxis.ACTIVE_USERS, 0.0),
-            (SweepAxis.EPSILON_MAX, -0.1),
             (SweepAxis.SNR_DB, math.inf),
         ],
     )
@@ -481,10 +498,37 @@ class TestExperimentConfig:
 
     def test_rejects_zero_active_users(self):
         base = SystemConfig(
-            n_potential=10, k_active=0, m_antennas=4, noise_variance=0.1, cfo=CfoModel.none()
+            n_potential=10, k_active=0, m_antennas=4, noise_variance=0.1, cfo=CfoModel.uniform(0.0)
         )
         with pytest.raises(ValueError):
             small_config(base=base, sweep=SweepSpec.single_point())
+
+    @pytest.mark.parametrize(
+        "axis,value",
+        [(SweepAxis.ANTENNAS, 0.0), (SweepAxis.ACTIVE_USERS, 0.0), (SweepAxis.EPSILON_MAX, -0.1)],
+    )
+    def test_rejects_bad_values(self, axis, value):
+        """Out-of-range sweep values fail when the config builds their point."""
+        with pytest.raises(ValueError):
+            small_config(sweep=SweepSpec(axis=axis, values=(value,)))
+
+    def test_checks_active_users_at_every_point(self):
+        """K >= 1 is required of each point, not of the base: a K sweep replaces the base K."""
+        base = dataclasses.replace(BASE_CFG, k_active=0)
+        config = small_config(base=base, sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 10.0)))
+        assert [cfg.k_active for cfg in config.points] == [5, 10]
+        with pytest.raises(ValueError, match="k_active must be >= 1"):
+            small_config(sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 0.0)))
+        with pytest.raises(ValueError, match="k_active must be >= 1"):
+            small_config(base=base, sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=(10.0,)))
+
+    def test_points_follow_the_sweep(self):
+        config = small_config(sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=(0.0, 10.0)))
+        assert config.axis_values == (0.0, 10.0)
+        assert config.points == tuple(apply_axis_value(BASE_CFG, SweepAxis.SNR_DB, v) for v in (0.0, 10.0))
+        single = small_config(sweep=SweepSpec.single_point())
+        assert single.axis_values == (None,)
+        assert single.points == (BASE_CFG,)
 
     def test_rejects_axis_values_invalid_for_base(self):
         """Active-user values above the population must fail at construction."""
@@ -496,15 +540,15 @@ class TestRunSweep:
     def test_row_grid_and_order(self):
         config = small_config()
         result = run_sweep(config)
-        assert len(result.rows) == 2 * len(ALL_SCHEMES)
-        assert [row.axis_value for row in result.rows] == [8.0] * 4 + [16.0] * 4
-        assert [row.scheme for row in result.rows[:4]] == list(ALL_SCHEMES)
-        assert all(row.axis == "m" for row in result.rows)
-        assert all(row.trials == 40 and row.seed == 7 for row in result.rows)
+        assert len(result) == 2 * len(ALL_SCHEMES)
+        assert [row.axis_value for row in result] == [8.0] * 4 + [16.0] * 4
+        assert [row.scheme for row in result[:4]] == list(ALL_SCHEMES)
+        assert all(row.axis == "m" for row in result)
+        assert all(row.trials == 40 and row.seed == 7 for row in result)
 
     def test_theory_only_on_eig_sum_rows(self):
         result = run_sweep(small_config())
-        for row in result.rows:
+        for row in result:
             if row.scheme is Scheme.EIG_SUM:
                 assert row.nrmse_theory is not None
             else:
@@ -517,32 +561,26 @@ class TestRunSweep:
         )
         result = run_sweep(config)
         alpha = characteristic_function(BASE_CFG.cfo)
-        assert result.rows[0].nrmse_theory == pytest.approx(
+        assert result[0].nrmse_theory == pytest.approx(
             nrmse_eig_sum_theory(25, 32, 1.0, alpha), rel=1e-12
         )
-        assert result.rows[1].nrmse_theory == pytest.approx(
+        assert result[1].nrmse_theory == pytest.approx(
             nrmse_eig_sum_theory(25, 32, 0.1, alpha), rel=1e-12
         )
 
     def test_no_theory_when_not_requested(self):
         result = run_sweep(small_config(emit_theory=False))
-        assert all(row.nrmse_theory is None for row in result.rows)
+        assert all(row.nrmse_theory is None for row in result)
 
     def test_single_point_row(self):
         config = small_config(sweep=SweepSpec.single_point(), schemes=(Scheme.EIG_SUM,))
         result = run_sweep(config)
-        assert len(result.rows) == 1
-        assert result.rows[0].axis == "none"
-        assert result.rows[0].axis_value is None
-
-    def test_for_scheme_selector(self):
-        result = run_sweep(small_config())
-        rows = result.for_scheme(Scheme.ORTHOGONAL)
-        assert len(rows) == 2
-        assert all(row.scheme is Scheme.ORTHOGONAL for row in rows)
+        assert len(result) == 1
+        assert result[0].axis == "none"
+        assert result[0].axis_value is None
 
     def test_rows_reproducible_from_point_seed(self):
-        """Documented contract: a row is run_point of its configuration at the master seed."""
+        """Documented contract: a row is the one-point run of its configuration at the master seed."""
         for axis, values in [
             (SweepAxis.ANTENNAS, (1.0, 8.0, 16.0)),
             (SweepAxis.SNR_DB, (0.0, 10.0)),
@@ -556,8 +594,8 @@ class TestRunSweep:
             result = run_sweep(config)
             for index, value in enumerate(values):
                 cfg = apply_axis_value(config.base, axis, value)
-                redone = run_point(cfg, config.schemes, config.trials, config.master_seed)
-                assert redone[Scheme.MLE] == result.rows[index].nrmse_sim, (axis, value)
+                redone = point_nrmse(cfg, config.schemes, config.trials, config.master_seed)
+                assert redone[Scheme.MLE] == result[index].nrmse_sim, (axis, value)
 
     def test_domain_error_names_offending_axis_value(self):
         """eig-diff cannot run where the characteristic function vanishes."""
@@ -599,7 +637,7 @@ class TestStatisticalBehaviour:
         gaps = {trials: [] for trials in (400, 1600)}
         for seed in range(12):
             for trials in gaps:
-                out = run_point(BASE_CFG, (Scheme.EIG_SUM,), trials, seed=9000 + seed)
+                out = point_nrmse(BASE_CFG, (Scheme.EIG_SUM,), trials, seed=9000 + seed)
                 gaps[trials].append(out[Scheme.EIG_SUM] - expected)
         rms = {t: math.sqrt(np.mean(np.square(g))) for t, g in gaps.items()}
         assert rms[1600] < rms[400]
@@ -614,7 +652,7 @@ class TestStatisticalBehaviour:
             master_seed=17,
             sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=(0.0, 5.0, 10.0, 15.0, 20.0)),
         )
-        values = [row.nrmse_sim for row in run_sweep(config).rows]
+        values = [row.nrmse_sim for row in run_sweep(config)]
         high = values[2:]
         assert (max(high) - min(high)) / min(high) < 0.10
 
@@ -626,7 +664,7 @@ class TestStatisticalBehaviour:
             master_seed=23,
             sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(16.0, 32.0, 64.0, 128.0)),
         )
-        values = [row.nrmse_sim for row in run_sweep(config).rows]
+        values = [row.nrmse_sim for row in run_sweep(config)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -681,7 +719,7 @@ GOLDEN_CSV = (
 class TestWriters:
     def test_csv_golden(self):
         buf = io.StringIO()
-        write_csv(SweepResult(rows=GOLDEN_ROWS), buf)
+        write_csv(GOLDEN_ROWS, buf)
         assert buf.getvalue() == GOLDEN_CSV
 
     def test_csv_header(self):
@@ -689,7 +727,7 @@ class TestWriters:
 
     def test_csv_floats_carry_nine_significant_digits(self):
         buf = io.StringIO()
-        write_csv(SweepResult(rows=GOLDEN_ROWS), buf)
+        write_csv(GOLDEN_ROWS, buf)
         for line in buf.getvalue().splitlines()[1:]:
             sim = line.split(",")[3]
             digits = sum(c.isdigit() for c in sim.split("e")[0])
@@ -698,7 +736,7 @@ class TestWriters:
 
     def test_json_round_trip(self):
         buf = io.StringIO()
-        write_json(SweepResult(rows=GOLDEN_ROWS), buf)
+        write_json(GOLDEN_ROWS, buf)
         payload = json.loads(buf.getvalue())
         assert [row["scheme"] for row in payload] == ["eig-sum", "orthogonal", "eig-diff", "mle"]
         assert payload[0]["axis_value"] == 32

@@ -10,16 +10,16 @@ from scipy import stats
 from auesim import model
 from auesim.estimators import characteristic_function
 from auesim.model import (
+    MAX_NOISE_VARIANCE,
     CfoKind,
     CfoModel,
     SystemConfig,
     WishartDraws,
     bartlett_covariance,
-    draw_cfos,
     draw_wishart,
     sample_wishart,
 )
-from auesim.reference import ReceivedPilot, generate_received, sample_covariance
+from auesim.reference import ReceivedPilot, draw_cfos, generate_received, sample_covariance
 from auesim.theory import PopulationSpec, moment_oracles
 
 BASE_CFG = SystemConfig(
@@ -39,8 +39,6 @@ class TestCfoModel:
     def test_constructors_set_kind(self):
         assert CfoModel.uniform(0.1).kind is CfoKind.UNIFORM
         assert CfoModel.gaussian(0.1).kind is CfoKind.GAUSSIAN
-        assert CfoModel.none().kind is CfoKind.NONE
-        assert CfoModel.none().epsilon_max == 0.0
 
     @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf])
     def test_rejects_bad_epsilon(self, bad):
@@ -86,8 +84,8 @@ class TestDrawCfos:
 
     def test_none_and_zero_epsilon_give_zero_offsets(self):
         rng = np.random.default_rng(15)
-        assert np.all(draw_cfos(CfoModel.none(), 50, rng) == 0.0)
         assert np.all(draw_cfos(CfoModel.uniform(0.0), 50, rng) == 0.0)
+        assert np.all(draw_cfos(CfoModel.gaussian(0.0), 50, rng) == 0.0)
 
     def test_empty_draw(self):
         rng = np.random.default_rng(16)
@@ -100,6 +98,10 @@ class TestDrawCfos:
 
 
 class TestSystemConfig:
+    def test_accepts_noise_power_up_to_bound(self):
+        cfg = dataclasses.replace(BASE_CFG, noise_variance=MAX_NOISE_VARIANCE)
+        assert cfg.snr_db == pytest.approx(-1500.0, rel=1e-12)
+
     def test_snr_db_property(self):
         assert BASE_CFG.snr_db == pytest.approx(10.0, rel=1e-12)
 
@@ -113,6 +115,9 @@ class TestSystemConfig:
             dict(noise_variance=0.0),
             dict(noise_variance=-0.1),
             dict(noise_variance=math.nan),
+            dict(noise_variance=math.inf),
+            dict(noise_variance=1e308),
+            dict(noise_variance=math.nextafter(MAX_NOISE_VARIANCE, math.inf)),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -194,7 +199,7 @@ class TestGenerateReceived:
             k_active=0,
             m_antennas=64,
             noise_variance=0.5,
-            cfo=CfoModel.none(),
+            cfo=CfoModel.uniform(0.0),
         )
         rng = np.random.default_rng(25)
         powers = [np.mean(np.abs(generate_received(cfg, rng).samples) ** 2) for _ in range(200)]
