@@ -6,31 +6,32 @@ single point is a sweep of one.  ``collect_estimates`` returns the
 per-trial counts of one point instead; it builds the same one-point
 configuration, so every request is checked the same way.
 
-Reproducibility contract (stream 0.3.0): the trials of a point are cut into
+Reproducibility contract (stream 0.4.0): the trials of a point are cut into
 fixed blocks of ``BLOCK`` consecutive trials, the last one short.  Block
 ``b`` holds trials ``b*BLOCK`` up to ``(b+1)*BLOCK`` and, at every point of
-a run seeded with ``s``, draws all its randomness from the substream
-``SeedSequence((s, b))``, in the order documented by ``model.draw_wishart``.
-That order puts each draw after the draws it depends on: the gammas (M),
-then the normals, then the unit offsets, user-major, which each point scales
-by its own offset bound.  So every point of a sweep draws what the
-one-point run of its configuration at the same seed draws, and a sweep row
-equals that single run bit for bit.  Estimates are integers, so error sums
-are exact integer arithmetic; together these make every result a pure
-function of the experiment description, independent of worker count, pass
-boundaries and execution order.  Within a trial, one sample covariance is
-shared by all requested schemes, so the comparison between schemes is
-paired.
+a run seeded with ``s``, draws all its randomness from one generator seeded
+with ``SeedSequence(s, spawn_key=(b,))``, in the order documented by
+``model.draw_wishart``.  From the block's start come the normals, then the
+unit offsets, user-major, which each point scales by its own offset bound;
+the gammas of each M come from one fixed position far along the same
+stream.  So every point of a sweep draws what the one-point run of its
+configuration at the same seed draws, and a sweep row equals that single
+run bit for bit.  Estimates are integers, so error sums are exact integer
+arithmetic; together these make every result a pure function of the
+experiment description, independent of worker count, pass boundaries and
+execution order.  Within a trial, one sample covariance is shared by all
+requested schemes, so the comparison between schemes is paired.
 
 Evaluation: a sweep first checks every point, then numbers the (block,
 point) units of all points in one list, block-major, and evaluates them in
 passes of at most ``PASS_BLOCKS`` units, whole blocks where they fit.
-Within a pass, the points of one block that share M and the CFO kind draw
-once, sized for their largest K, so an SNR sweep draws each block once and
-a K sweep forms the phasors of its largest K only.  The covariance
-transform, all schemes' counts and the squared-error sums run once per
-pass, over arrays that span several points.  A pass keeps only its
-(point, scheme) error sums, so memory does not grow with the trial count;
+Within a pass, the points of one block draw once, sized for their largest
+K: an SNR sweep draws each block once, a K sweep forms the phasors of its
+largest K only, and an M sweep forms its phasors once and draws only the
+gammas per M.  The covariance transform, all schemes' counts and the
+squared-error sums run once per pass, over arrays that span several points.
+A pass keeps only its (point, scheme) error sums, so memory does not grow
+with the trial count;
 ``collect_estimates``, which returns per-trial counts, is the one caller
 that keeps more.  A pass sums in int64, which ``MAX_POPULATION`` keeps
 exact, and the totals over passes are Python integers, exact at any trial
@@ -269,9 +270,9 @@ def _evaluate_pass(
     """Counts and squared-error sums of units ``first`` up to ``stop``.
 
     Unit ``u`` is block ``u // P`` of point ``u % P``, for the ``P`` points
-    of ``config``.  The units of one block that share M and the CFO kind
-    draw together from one generator seeded ``(master seed, block)``;
-    everything after the draws runs once over the whole pass.  Returns the
+    of ``config``.  The units of one block draw together from one generator,
+    seeded with the master seed and the spawn key ``(block,)``; everything
+    after the draws runs once over the whole pass.  Returns the
     (schemes, trials) counts in unit order and the (schemes, points) sums of
     squared count errors.
     """
@@ -281,17 +282,12 @@ def _evaluate_pass(
     starts = list(accumulate(lengths, initial=0))
     draws = model.WishartDraws.empty(starts[-1])
     for block, members in groupby(range(len(units)), key=lambda i: units[i][0]):
-        groups: dict[tuple, list[int]] = {}
-        for i in members:
-            cfg = points[units[i][1]]
-            groups.setdefault((cfg.m_antennas, cfg.cfo.kind), []).append(i)
-        for group in groups.values():
-            rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, block)))
-            model.draw_wishart(
-                [points[units[i][1]] for i in group],
-                rng,
-                [draws.part(starts[i], starts[i + 1]) for i in group],
-            )
+        members = list(members)
+        model.draw_wishart(
+            [points[units[i][1]] for i in members],
+            np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(block,))),
+            [draws.part(starts[i], starts[i + 1]) for i in members],
+        )
 
     covered = [points[p] for _, p in units]
     k_active = _per_trial([cfg.k_active for cfg in covered], lengths)
@@ -456,6 +452,15 @@ def _row_payload(row: SweepRow) -> Mapping[str, object]:
     }
 
 
+# encodes one row's fields at the indent of ``json.dumps(rows, indent=2)``;
+# without ``indent`` it runs the C encoder, which leaves no cyclic garbage
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def write_json(rows: Iterable[SweepRow], stream: IO[str]) -> None:
-    """Write the rows as a JSON array of objects, one object per result row."""
-    stream.write(json.dumps([_row_payload(row) for row in rows], indent=2) + "\n")
+    """Write the rows as a JSON array of objects, one object per result row.
+
+    The bytes are those of ``json.dumps(payloads, indent=2)``.
+    """
+    objects = ["  {\n    " + _ROW_ENCODER.encode(_row_payload(row))[1:-1] + "\n  }" for row in rows]
+    stream.write("[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n")

@@ -18,8 +18,8 @@ Given the offsets, the M columns of Y are i.i.d. CN(0, Sigma) with
 so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma).
 ``sample_wishart`` draws it directly in O(K) per trial; the simulation runs
 its two halves, ``draw_wishart`` once per seeded block for all the
-configurations that can share its draws, and ``bartlett_covariance`` once
-over many blocks.  Y itself is synthesised only by the direct model in
+configurations of that block, and ``bartlett_covariance`` once over many
+blocks.  Y itself is synthesised only by the direct model in
 ``auesim.reference``, for the tests.
 """
 
@@ -39,6 +39,10 @@ _SQRT2 = math.sqrt(2.0)
 # unit offsets drawn and phased at a time per block; bounds the transient
 # memory of a block without changing a bit of its draws
 CHUNK_DRAWS = 2**16
+
+# draws between a block's start and its gammas: far past any block's normals
+# and offsets, so the gammas of each M begin at one fixed position
+GAMMA_OFFSET = 2**64
 
 # largest noise power accepted: it keeps (K + sigma_z^2)^2 some eight orders
 # of magnitude below the float maximum, so that products of two covariance
@@ -152,32 +156,47 @@ def draw_wishart(
 ) -> None:
     """Fill ``outs[i]`` with the random inputs of ``cfgs[i]``, all from one block's stream ``rng``.
 
-    The configurations share M and the CFO kind, and the records share their
-    size B; K, epsilon and the noise may differ.  Draw order is fixed: B
-    a11^2 ~ Gamma(M), B a22^2 ~ Gamma(M - 1), the 2B normals behind a21 (the
-    real parts, then the imaginary parts), and last the unit offsets,
-    user-major: B for user 0, then B for user 1, up to the largest K.  They
-    are u ~ U(-1, 1) for uniform CFO and z ~ N(0, 1) for Gaussian CFO, and
-    configuration i scales them by its omega_max or omega_max / 3.  So every
-    configuration gets exactly the draws it would get alone, and one with K
-    users reads the first K*B offsets.  Only the phasor sums g are kept, each
-    the running sum of the phasors added one user row at a time.
+    The configurations share the CFO kind, and the records share their size
+    B; K, M, epsilon and the noise may differ.  Draw order is fixed.  From
+    the generator's state at entry come the 2B normals behind a21 (the real
+    parts, then the imaginary parts) and then the unit offsets, user-major:
+    B for user 0, then B for user 1, up to the largest K.  They are
+    u ~ U(-1, 1) for uniform CFO and z ~ N(0, 1) for Gaussian CFO, and
+    configuration i scales them by its omega_max or omega_max / 3.  The
+    gammas, B a11^2 ~ Gamma(M) then B a22^2 ~ Gamma(M - 1), come from that
+    entry state advanced by ``GAMMA_OFFSET`` draws, once per distinct M.  So
+    every configuration gets exactly the draws it would get alone, only its
+    gammas depend on M, and one with K users reads the first K*B offsets.
+    Only the phasor sums g are kept, each the running sum of the phasors
+    added one user row at a time.  The bit generator of ``rng`` must support
+    ``advance``, as PCG64, the default, does.
     """
+    kind = cfgs[0].cfo.kind
+    if any(cfg.cfo.kind is not kind for cfg in cfgs):
+        raise ValueError("configurations that draw together must share the CFO kind")
+    bit_generator = rng.bit_generator
+    start = bit_generator.state
     first = outs[0]
-    kind, m_antennas = cfgs[0].cfo.kind, cfgs[0].m_antennas
-    if any(cfg.cfo.kind is not kind or cfg.m_antennas != m_antennas for cfg in cfgs):
-        raise ValueError("configurations that draw together must share M and the CFO kind")
-    rng.standard_gamma(m_antennas, out=first.gamma_m)
-    # shape 0 yields exact zeros without consuming the stream
-    rng.standard_gamma(m_antennas - 1, out=first.gamma_m1)
     # two calls that consume the stream as one call of 2B would
     rng.standard_normal(out=first.re)
     rng.standard_normal(out=first.im)
-    for out in outs[1:]:
-        # every field but g: the gammas and the normals
-        for shared, values in zip(out[1:], first[1:]):
-            shared[...] = values
     _phasor_sums(cfgs, rng, outs)
+    for out in outs[1:]:
+        out.re[...] = first.re
+        out.im[...] = first.im
+    by_m: dict[int, WishartDraws] = {}
+    for cfg, out in zip(cfgs, outs):
+        drawn = by_m.get(cfg.m_antennas)
+        if drawn is None:
+            by_m[cfg.m_antennas] = out
+            bit_generator.state = start
+            bit_generator.advance(GAMMA_OFFSET)
+            rng.standard_gamma(cfg.m_antennas, out=out.gamma_m)
+            # shape 0 yields exact zeros without consuming the stream
+            rng.standard_gamma(cfg.m_antennas - 1, out=out.gamma_m1)
+        else:
+            out.gamma_m[...] = drawn.gamma_m
+            out.gamma_m1[...] = drawn.gamma_m1
 
 
 def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -> None:

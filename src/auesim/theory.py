@@ -17,6 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# largest K + sigma_z^2 accepted: its square, and every moment built on it,
+# stays some eight orders of magnitude below the float maximum
+MAX_POWER = 1e150
+
+
+def _check_power(k_active: int, noise_variance: float) -> None:
+    # comparing K alone first is exact for any integer, so a K past the float
+    # range is rejected before the sum converts it
+    if k_active > MAX_POWER or k_active + noise_variance > MAX_POWER:
+        raise ValueError(
+            f"K + noise_variance must be at most MAX_POWER = {MAX_POWER:g} so that its square "
+            f"stays finite, got K = {k_active}, noise_variance = {noise_variance}"
+        )
+
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -31,6 +45,7 @@ class PopulationSpec:
             raise ValueError(f"k_active must be >= 0, got {self.k_active}")
         if not math.isfinite(self.noise_variance) or self.noise_variance < 0.0:
             raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance}")
+        _check_power(self.k_active, self.noise_variance)
         if not -1.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
 
@@ -64,6 +79,7 @@ def nrmse_eig_sum_theory(
         raise ValueError(f"m_antennas must be >= 1, got {m_antennas}")
     if not math.isfinite(noise_variance) or noise_variance < 0.0:
         raise ValueError(f"noise_variance must be finite and >= 0, got {noise_variance}")
+    _check_power(k_active, noise_variance)
     if not -1.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
     k = float(k_active)

@@ -1,4 +1,4 @@
-"""Golden output bytes of the CLI, recorded with auesim 0.3.0 (stream version of 0.3.0).
+"""Golden output bytes of the CLI, recorded with auesim 0.4.0 (stream version of 0.4.0).
 
 Each case runs 300 trials per point, so every point has one full block of
 ``harness.BLOCK`` trials and one short block, and is run with one and with two
@@ -33,10 +33,10 @@ CASES = {
 EXPECTED = {
     "run-uniform-csv": (
         'axis,axis_value,scheme,nrmse_sim,nrmse_theory,trials,seed\n'
-        'none,,eig-sum,0.156034184,0.165613544,300,11\n'
-        'none,,eig-diff,0.179436154,,300,11\n'
-        'none,,orthogonal,0.201474564,,300,11\n'
-        'none,,mle,0.164113782,,300,11\n'
+        'none,,eig-sum,0.166389102,0.165613544,300,11\n'
+        'none,,eig-diff,0.196516327,,300,11\n'
+        'none,,orthogonal,0.216936243,,300,11\n'
+        'none,,mle,0.178930154,,300,11\n'
     ),
     "epsilon-uniform-json": (
         '[\n'
@@ -44,7 +44,7 @@ EXPECTED = {
         '    "axis": "epsilon",\n'
         '    "axis_value": 0,\n'
         '    "scheme": "eig-sum",\n'
-        '    "nrmse_sim": 0.15793669617919706,\n'
+        '    "nrmse_sim": 0.1835065848046513,\n'
         '    "nrmse_theory": 0.17713060153457394,\n'
         '    "trials": 300,\n'
         '    "seed": 12\n'
@@ -53,7 +53,7 @@ EXPECTED = {
         '    "axis": "epsilon",\n'
         '    "axis_value": 0,\n'
         '    "scheme": "eig-diff",\n'
-        '    "nrmse_sim": 0.15778466338652816,\n'
+        '    "nrmse_sim": 0.18317205026968497,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 12\n'
@@ -62,7 +62,7 @@ EXPECTED = {
         '    "axis": "epsilon",\n'
         '    "axis_value": 0.1,\n'
         '    "scheme": "eig-sum",\n'
-        '    "nrmse_sim": 0.15686937240902063,\n'
+        '    "nrmse_sim": 0.17357419162997703,\n'
         '    "nrmse_theory": 0.17176249008805944,\n'
         '    "trials": 300,\n'
         '    "seed": 12\n'
@@ -71,7 +71,7 @@ EXPECTED = {
         '    "axis": "epsilon",\n'
         '    "axis_value": 0.1,\n'
         '    "scheme": "eig-diff",\n'
-        '    "nrmse_sim": 0.16861791126686396,\n'
+        '    "nrmse_sim": 0.18473765182008783,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 12\n'
@@ -80,7 +80,7 @@ EXPECTED = {
         '    "axis": "epsilon",\n'
         '    "axis_value": 0.25,\n'
         '    "scheme": "eig-sum",\n'
-        '    "nrmse_sim": 0.1450700979986342,\n'
+        '    "nrmse_sim": 0.14961283367412034,\n'
         '    "nrmse_theory": 0.1498483267125138,\n'
         '    "trials": 300,\n'
         '    "seed": 12\n'
@@ -89,7 +89,7 @@ EXPECTED = {
         '    "axis": "epsilon",\n'
         '    "axis_value": 0.25,\n'
         '    "scheme": "eig-diff",\n'
-        '    "nrmse_sim": 0.25150215373497964,\n'
+        '    "nrmse_sim": 0.24227807714827743,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 12\n'
@@ -98,18 +98,18 @@ EXPECTED = {
     ),
     "m-gaussian-csv": (
         'axis,axis_value,scheme,nrmse_sim,nrmse_theory,trials,seed\n'
-        'm,1,eig-sum,0.930808967,0.962684895,300,13\n'
-        'm,1,eig-diff,1.00560827,,300,13\n'
-        'm,1,orthogonal,0.932334704,,300,13\n'
-        'm,1,mle,0.929992115,,300,13\n'
-        'm,2,eig-sum,0.665239806,0.680721018,300,13\n'
-        'm,2,eig-diff,0.718973342,,300,13\n'
-        'm,2,orthogonal,0.667616656,,300,13\n'
-        'm,2,mle,0.664955136,,300,13\n'
-        'm,8,eig-sum,0.345847751,0.340360509,300,13\n'
-        'm,8,eig-diff,0.378868491,,300,13\n'
-        'm,8,orthogonal,0.358448509,,300,13\n'
-        'm,8,mle,0.349559723,,300,13\n'
+        'm,1,eig-sum,0.887609524,0.962684895,300,13\n'
+        'm,1,eig-diff,0.954101322,,300,13\n'
+        'm,1,orthogonal,0.885561216,,300,13\n'
+        'm,1,mle,0.885910454,,300,13\n'
+        'm,2,eig-sum,0.710083563,0.680721018,300,13\n'
+        'm,2,eig-diff,0.776127137,,300,13\n'
+        'm,2,orthogonal,0.706265295,,300,13\n'
+        'm,2,mle,0.706004721,,300,13\n'
+        'm,8,eig-sum,0.354032014,0.340360509,300,13\n'
+        'm,8,eig-diff,0.388219869,,300,13\n'
+        'm,8,orthogonal,0.357248746,,300,13\n'
+        'm,8,mle,0.353707977,,300,13\n'
     ),
     "snr-gaussian-json": (
         '[\n'
@@ -117,7 +117,7 @@ EXPECTED = {
         '    "axis": "snr",\n'
         '    "axis_value": -5,\n'
         '    "scheme": "mle",\n'
-        '    "nrmse_sim": 0.794774601171091,\n'
+        '    "nrmse_sim": 0.7778174593052023,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 14\n'
@@ -126,7 +126,7 @@ EXPECTED = {
         '    "axis": "snr",\n'
         '    "axis_value": -5,\n'
         '    "scheme": "orthogonal",\n'
-        '    "nrmse_sim": 0.8025999418556338,\n'
+        '    "nrmse_sim": 0.8046738469715541,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 14\n'
@@ -135,7 +135,7 @@ EXPECTED = {
         '    "axis": "snr",\n'
         '    "axis_value": 0,\n'
         '    "scheme": "mle",\n'
-        '    "nrmse_sim": 0.67700320038633,\n'
+        '    "nrmse_sim": 0.6595452979136459,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 14\n'
@@ -144,7 +144,7 @@ EXPECTED = {
         '    "axis": "snr",\n'
         '    "axis_value": 0,\n'
         '    "scheme": "orthogonal",\n'
-        '    "nrmse_sim": 0.6825198409814424,\n'
+        '    "nrmse_sim": 0.6776183783418708,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 14\n'
@@ -153,7 +153,7 @@ EXPECTED = {
         '    "axis": "snr",\n'
         '    "axis_value": 20,\n'
         '    "scheme": "mle",\n'
-        '    "nrmse_sim": 0.5873670062235365,\n'
+        '    "nrmse_sim": 0.5909032633745279,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 14\n'
@@ -162,7 +162,7 @@ EXPECTED = {
         '    "axis": "snr",\n'
         '    "axis_value": 20,\n'
         '    "scheme": "orthogonal",\n'
-        '    "nrmse_sim": 0.5930148958219066,\n'
+        '    "nrmse_sim": 0.5993051532121735,\n'
         '    "nrmse_theory": null,\n'
         '    "trials": 300,\n'
         '    "seed": 14\n'
@@ -171,18 +171,18 @@ EXPECTED = {
     ),
     "k-uniform-csv": (
         'axis,axis_value,scheme,nrmse_sim,nrmse_theory,trials,seed\n'
-        'k,1,eig-sum,0.0577350269,0.185825859,300,15\n'
-        'k,1,eig-diff,0.244948974,,300,15\n'
-        'k,1,orthogonal,0.100000000,,300,15\n'
-        'k,1,mle,0.00000000,,300,15\n'
-        'k,10,eig-sum,0.166933120,0.166923249,300,15\n'
-        'k,10,eig-diff,0.200997512,,300,15\n'
-        'k,10,orthogonal,0.212759645,,300,15\n'
-        'k,10,mle,0.173589554,,300,15\n'
-        'k,40,eig-sum,0.106516822,0.165285028,300,15\n'
-        'k,40,eig-diff,0.122907486,,300,15\n'
-        'k,40,orthogonal,0.205030486,,300,15\n'
-        'k,40,mle,0.151561319,,300,15\n'
+        'k,1,eig-sum,0.100000000,0.185825859,300,15\n'
+        'k,1,eig-diff,0.282842712,,300,15\n'
+        'k,1,orthogonal,0.152752523,,300,15\n'
+        'k,1,mle,0.0816496581,,300,15\n'
+        'k,10,eig-sum,0.170195965,0.166923249,300,15\n'
+        'k,10,eig-diff,0.210079350,,300,15\n'
+        'k,10,orthogonal,0.228181215,,300,15\n'
+        'k,10,mle,0.185382487,,300,15\n'
+        'k,40,eig-sum,0.110792599,0.165285028,300,15\n'
+        'k,40,eig-diff,0.126252063,,300,15\n'
+        'k,40,orthogonal,0.212891796,,300,15\n'
+        'k,40,mle,0.157546289,,300,15\n'
     ),
 }
 

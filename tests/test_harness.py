@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -143,19 +144,24 @@ def record_draws(monkeypatch):
     return calls
 
 
+def seed_keys(calls):
+    """The (entropy, spawn key) of the seed sequence behind each recorded draw."""
+    seqs = [rng.bit_generator.seed_seq for _, rng, _ in calls]
+    return [(seq.entropy, seq.spawn_key) for seq in seqs]
+
+
 class TestPointSeed:
     """Every point of a run is seeded with the run's master seed, and block b of
-    every point draws from the substream (master seed, b)."""
+    every point draws from ``SeedSequence(master seed, spawn_key=(b,))``."""
 
     def test_deterministic(self, monkeypatch):
         calls = record_draws(monkeypatch)
         config = small_config(trials=BLOCK + 1, master_seed=123)
         first = run_sweep(config)
-        entropies = [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls]
-        # the M axis shares no draws: one generator per (block, point), block-major
-        assert entropies == [(123, 0), (123, 0), (123, 1), (123, 1)]
+        # both M points of a block draw from one generator, block-major
+        assert seed_keys(calls) == [(123, (0,)), (123, (1,))]
         assert run_sweep(config) == first
-        assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls[4:]] == entropies
+        assert seed_keys(calls[2:]) == seed_keys(calls[:2])
 
     def test_distinct_across_indices_and_masters(self, monkeypatch):
         calls = record_draws(monkeypatch)
@@ -163,13 +169,11 @@ class TestPointSeed:
         for master in range(8):
             calls.clear()
             point_nrmse(BASE_CFG, (Scheme.MLE,), 8 * BLOCK, seed=master)
-            assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls] == [
-                (master, block) for block in range(8)
-            ]
+            assert seed_keys(calls) == [(master, (block,)) for block in range(8)]
         for master in range(8):
             for block in range(8):
-                rng = np.random.default_rng(np.random.SeedSequence((master, block)))
-                firsts.add(rng.standard_gamma(BASE_CFG.m_antennas))
+                rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(block,)))
+                firsts.add(rng.standard_normal())
         assert len(firsts) == 64
 
     def test_unsigned_64_bit(self, monkeypatch):
@@ -177,13 +181,31 @@ class TestPointSeed:
         for seed in (0, 2**64 - 1):
             calls.clear()
             run_sweep(small_config(master_seed=seed, trials=5))
-            assert {rng.bit_generator.seed_seq.entropy for _, rng, _ in calls} == {(seed, 0)}
+            assert set(seed_keys(calls)) == {(seed, (0,))}
         with pytest.raises(ValueError):
             small_config(master_seed=2**64)
 
+    def test_blocks_never_collide_across_master_seeds(self, monkeypatch):
+        """Seeding with the pair (seed, block) zero-pads the words of both, so
+        block 3 of seed 5 was block 0 of seed 3*2^32 + 5, and block 0 of a seed
+        was the plain generator of that seed."""
+        colliding = 3 * 2**32 + 5
+        late = collect_estimates(BASE_CFG, (Scheme.EIG_SUM,), 4 * BLOCK, seed=5)[Scheme.EIG_SUM]
+        early = collect_estimates(BASE_CFG, (Scheme.EIG_SUM,), BLOCK, seed=colliding)[Scheme.EIG_SUM]
+        assert not np.array_equal(late[3 * BLOCK :], early)
+        calls = record_draws(monkeypatch)
+        states = []
+        for seed in (0, 1, 5, 2**32, 2**32 + 1, colliding, 2**64 - 1):
+            calls.clear()
+            point_nrmse(BASE_CFG, (Scheme.MLE,), 12 * BLOCK, seed=seed)
+            states += [rng.bit_generator.seed_seq.generate_state(4).tobytes() for _, rng, _ in calls]
+            states.append(np.random.SeedSequence(seed).generate_state(4).tobytes())
+        assert len(states) == 7 * 13
+        assert len(set(states)) == len(states)
+
 
 class TestSharedDraws:
-    """Points of a sweep that differ only in what the draws do not depend on share them."""
+    """Every point of a block shares its draws; only the gammas depend on M."""
 
     @pytest.mark.parametrize(
         "axis,values",
@@ -198,16 +220,20 @@ class TestSharedDraws:
         config = small_config(sweep=SweepSpec(axis=axis, values=values), trials=2 * BLOCK + 50)
         run_sweep(config)
         assert len(calls) == 3
-        assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in calls] == [(7, 0), (7, 1), (7, 2)]
+        assert seed_keys(calls) == [(7, (0,)), (7, (1,)), (7, (2,))]
         for cfgs, _, _ in calls:
             assert list(cfgs) == [apply_axis_value(BASE_CFG, axis, v) for v in values]
         sizes = [[out.g.size for out in outs] for _, _, outs in calls]
         assert sizes == [[BLOCK] * len(values)] * 2 + [[50] * len(values)]
 
-    def test_antenna_sweep_shares_nothing(self, monkeypatch):
+    def test_antenna_sweep_draws_each_block_once(self, monkeypatch):
+        """One call per block covers every M point, repeated M included."""
         calls = record_draws(monkeypatch)
-        run_sweep(small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(1.0, 2.0, 8.0))))
-        assert [[cfg.m_antennas for cfg in cfgs] for cfgs, _, _ in calls] == [[1], [2], [8]]
+        values = (1.0, 2.0, 8.0, 2.0)
+        run_sweep(small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=values), trials=BLOCK + 9))
+        assert seed_keys(calls) == [(7, (0,)), (7, (1,))]
+        assert [[cfg.m_antennas for cfg in cfgs] for cfgs, _, _ in calls] == [[1, 2, 8, 2]] * 2
+        assert [[out.g.size for out in outs] for _, _, outs in calls] == [[BLOCK] * 4, [9] * 4]
 
     def test_rows_equal_at_any_pass_size(self, monkeypatch):
         """Pass boundaries that split a block's points change no row."""
@@ -217,6 +243,19 @@ class TestSharedDraws:
         )
         expected = run_sweep(config)
         for pass_blocks in (1, 2, 4):
+            monkeypatch.setattr(harness, "PASS_BLOCKS", pass_blocks)
+            assert run_sweep(config) == expected
+
+    def test_antenna_rows_equal_at_any_pass_size_and_workers(self, monkeypatch):
+        """An M point drawn apart from the rest of its block, in another pass or
+        worker, gets the same gammas, normals and offsets."""
+        config = small_config(
+            sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(8.0, 1.0, 8.0, 32.0)),
+            trials=2 * BLOCK + 5,
+        )
+        expected = run_sweep(config)
+        assert run_sweep(config, workers=2) == expected
+        for pass_blocks in (1, 2, 3):
             monkeypatch.setattr(harness, "PASS_BLOCKS", pass_blocks)
             assert run_sweep(config) == expected
 
@@ -374,7 +413,7 @@ class TestRunPoint:
         draws = record_draws(monkeypatch)
         point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=5)
         assert [[out.g.size for out in outs] for _, _, outs in draws] == [[BLOCK], [BLOCK], [50]]
-        assert [rng.bit_generator.seed_seq.entropy for _, rng, _ in draws] == [(5, 0), (5, 1), (5, 2)]
+        assert seed_keys(draws) == [(5, (0,)), (5, (1,)), (5, (2,))]
         assert len({id(rng) for _, rng, _ in draws}) == len(draws)
         assert list(read) == list(ALL_SCHEMES)
         assert all(len(calls) == 1 for calls in read.values())
@@ -746,6 +785,27 @@ class TestWriters:
         assert payload[1]["nrmse_theory"] is None
         assert payload[0]["nrmse_theory"] == pytest.approx(0.16561354395046848, rel=1e-15)
         assert list(payload[0]) == list(CSV_HEADER)
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 5])
+    def test_json_bytes_equal_indented_dumps(self, count):
+        """The row-at-a-time writer gives the bytes of ``json.dumps(..., indent=2)``."""
+        edge = SweepRow("snr", -0.0, Scheme.MLE, math.nan, -math.inf, 1, 2**64 - 1)
+        rows = (*GOLDEN_ROWS, edge)[:count]
+        buf = io.StringIO()
+        write_json(rows, buf)
+        assert buf.getvalue() == json.dumps([harness._row_payload(row) for row in rows], indent=2) + "\n"
+
+    def test_json_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(10):
+                write_json(GOLDEN_ROWS, io.StringIO())
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
     def test_default_trials_constant(self):
         assert DEFAULT_TRIALS == 20_000

@@ -334,7 +334,8 @@ def _same_bytes(a, b):
 
 
 class TestDrawWishart:
-    """Stream 0.3.0: configurations that share M and the CFO kind share one block's draws."""
+    """Stream 0.4.0: configurations that share the CFO kind share one block's draws,
+    all but the gammas, which depend on M."""
 
     @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
     def test_group_draws_equal_separate_draws(self, kind):
@@ -353,8 +354,8 @@ class TestDrawWishart:
         """A point with K users reads the first K user rows of a larger K's draws."""
         small, large = _drawn([dataclasses.replace(BASE_CFG, k_active=5), BASE_CFG], 64, 7302)
         rng = np.random.default_rng(7302)
-        # the gammas and the normals come first
-        rng.standard_gamma(32, 64), rng.standard_gamma(31, 64), rng.standard_normal(128)
+        # the normals come first; the gammas lie far along the stream
+        rng.standard_normal(128)
         unit = rng.uniform(-1.0, 1.0, (25, 64))
         phasors = np.exp(1j * (BASE_CFG.cfo.omega_max * unit))
         assert small.g.tobytes() == np.cumsum(phasors[:5], axis=0)[-1].tobytes()
@@ -372,10 +373,24 @@ class TestDrawWishart:
         for out, want in zip(_drawn(cfgs, 40, 7304), expected):
             assert _same_bytes(out, want)
 
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    def test_antenna_points_share_all_but_gammas(self, kind):
+        """Points at different M get the same g and normals from one call; the
+        gammas of each M start 2^64 draws past the block's start."""
+        cfgs = [
+            dataclasses.replace(BASE_CFG, m_antennas=m, cfo=CfoModel(kind, 0.15)) for m in (1, 8, 32, 8)
+        ]
+        outs = _drawn(cfgs, 53, 7306)
+        for out in outs[1:]:
+            for name in ("g", "re", "im"):
+                assert getattr(out, name).tobytes() == getattr(outs[0], name).tobytes()
+        for cfg, out in zip(cfgs, outs):
+            rng = np.random.default_rng(7306)
+            rng.bit_generator.advance(2**64)
+            assert out.gamma_m.tobytes() == rng.standard_gamma(cfg.m_antennas, 53).tobytes()
+            assert out.gamma_m1.tobytes() == rng.standard_gamma(cfg.m_antennas - 1, 53).tobytes()
+            assert _same_bytes(out, _drawn([cfg], 53, 7306)[0])
+
     def test_rejects_configurations_that_cannot_share(self):
-        for other in (
-            dataclasses.replace(BASE_CFG, m_antennas=8),
-            dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.15)),
-        ):
-            with pytest.raises(ValueError, match="share M and the CFO kind"):
-                _drawn([BASE_CFG, other], 4, 7305)
+        with pytest.raises(ValueError, match="share the CFO kind"):
+            _drawn([BASE_CFG, dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.15))], 4, 7305)

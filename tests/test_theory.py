@@ -1,5 +1,6 @@
 """Tests for the closed-form population quantities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from auesim.reference import (
     sample_covariance,
 )
 from auesim.theory import (
+    MAX_POWER,
     CovarianceMoments,
     PopulationSpec,
     moment_oracles,
@@ -125,6 +127,17 @@ class TestNrmseTheory:
         with pytest.raises(ValueError):
             nrmse_eig_sum_theory(**args)
 
+    @pytest.mark.parametrize("k_active,noise_variance", [(1, 1e200), (1, 2e150), (10**400, 1.0)])
+    def test_rejects_power_past_bound(self, k_active, noise_variance):
+        """(K + sigma_z^2)^2 past the float range raised OverflowError, not ValueError."""
+        with pytest.raises(ValueError, match="MAX_POWER"):
+            nrmse_eig_sum_theory(k_active, 1, noise_variance, 1.0)
+
+    def test_finite_up_to_bound(self):
+        value = nrmse_eig_sum_theory(25, 1, MAX_POWER - 25, 1.0)
+        assert math.isfinite(value)
+        assert value == pytest.approx(MAX_POWER / math.sqrt(2.0) / 25, rel=1e-12)
+
 
 class TestMomentOracles:
     def test_frozen_reference_point(self):
@@ -175,3 +188,13 @@ class TestPopulationSpec:
         fields.update(kwargs)
         with pytest.raises(ValueError):
             PopulationSpec(**fields)
+
+    @pytest.mark.parametrize("k_active,noise_variance", [(1, 1e200), (1, 2e150), (10**400, 1.0)])
+    def test_rejects_power_past_bound(self, k_active, noise_variance):
+        """moment_oracles(PopulationSpec(1, 1e200), 1) raised OverflowError."""
+        with pytest.raises(ValueError, match="MAX_POWER"):
+            moment_oracles(PopulationSpec(k_active, noise_variance), 1)
+
+    def test_moments_finite_up_to_bound(self):
+        moments = moment_oracles(PopulationSpec(0, MAX_POWER, alpha=1.0), 1)
+        assert all(math.isfinite(v) for v in dataclasses.astuple(moments))
