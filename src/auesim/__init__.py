@@ -7,4 +7,4 @@ closed-form error curve of the eigenvalue-sum scheme.  The package itself
 re-exports nothing; import the layers as submodules.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"

@@ -330,17 +330,26 @@ def _evaluate_blocks(
     return sums, kept
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one
+    (so ``taskset`` and cpusets bind), else the CPU count, an unknown one as 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _evaluate(
     config: ExperimentConfig, alphas: Sequence[float], workers: int, keep: bool
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """``_evaluate_blocks`` over every unit of ``config``, on at most ``workers`` processes.
 
-    At most ``min(workers, units, cpu count)`` processes run, in one pool,
+    At most ``min(workers, units, usable CPUs)`` processes run, in one pool,
     each on a contiguous range of units; one means no pool at all.
     """
     units = -(-config.trials // BLOCK) * len(config.points)
     if workers > 1:
-        workers = min(workers, units, os.cpu_count() or 1)
+        workers = min(workers, units, _usable_cpus())
     if workers <= 1:
         return _evaluate_blocks(config, alphas, 0, units, keep)
     # imported here so that serial runs do not pay for the pool machinery at start-up

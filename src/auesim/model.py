@@ -19,8 +19,10 @@ so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma).
 ``sample_wishart`` draws it directly in O(K) per trial; the simulation runs
 its two halves, ``draw_wishart`` once per seeded block for all the
 configurations of that block, and ``bartlett_covariance`` once over many
-blocks.  Y itself is synthesised only by the direct model in
-``auesim.reference``, for the tests.
+blocks.  The phasors e^{j omega_n} come from a table of the unit circle and
+a short Taylor step (``_unit_phasors``), within a few ulps of ``np.exp``.
+Y itself is synthesised only by the direct model in ``auesim.reference``,
+for the tests.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ GAMMA_OFFSET = 2**64
 # entries, such as the determinant r1*r2 - |r12|^2, stay finite
 MAX_NOISE_VARIANCE = 1e150
 
+# largest worst-case offset accepted: a double still resolves omega to 1e-9
+# rad, and omega counted in table steps stays far below 2^51, where the
+# reduction in _unit_phasors stops being exact, for any Gaussian draw under
+# a million standard deviations
+MAX_EPSILON = 1e6
+
 
 class CfoKind(enum.Enum):
     """Distribution family of the per-user normalized frequency offset."""
@@ -64,15 +72,16 @@ class CfoModel:
     ``UNIFORM`` draws omega uniformly on [-2*pi*epsilon_max, 2*pi*epsilon_max].
     ``GAUSSIAN`` draws omega from N(0, (2*pi*epsilon_max / 3)^2), untruncated,
     so the nominal worst case sits at three standard deviations.
-    ``epsilon_max = 0`` pins every offset to zero under either kind.
+    ``epsilon_max = 0`` pins every offset to zero under either kind, and
+    values above ``MAX_EPSILON`` are rejected.
     """
 
     kind: CfoKind
     epsilon_max: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon_max) or self.epsilon_max < 0.0:
-            raise ValueError(f"epsilon_max must be finite and >= 0, got {self.epsilon_max}")
+        if not 0.0 <= self.epsilon_max <= MAX_EPSILON:
+            raise ValueError(f"epsilon_max must lie in [0, {MAX_EPSILON:g}], got {self.epsilon_max}")
 
     @property
     def omega_max(self) -> float:
@@ -168,8 +177,8 @@ def draw_wishart(
     every configuration gets exactly the draws it would get alone, only its
     gammas depend on M, and one with K users reads the first K*B offsets.
     Only the phasor sums g are kept, each the running sum of the phasors
-    added one user row at a time.  The bit generator of ``rng`` must support
-    ``advance``, as PCG64, the default, does.
+    (``_unit_phasors``) added one user row at a time.  The bit generator of
+    ``rng`` must support ``advance``, as PCG64, the default, does.
     """
     kind = cfgs[0].cfo.kind
     if any(cfg.cfo.kind is not kind for cfg in cfgs):
@@ -231,10 +240,79 @@ def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -
             if needed <= 0:
                 continue
             total = sums[scale]
-            for user, phasor in enumerate(np.exp(1j * (scale * unit[:needed])), start=lo + 1):
+            for user, phasor in enumerate(_unit_phasors(unit[:needed], scale), start=lo + 1):
                 total += phasor
                 for g in targets.get(user, ()):
                     g[...] = total
+
+
+def _unit_circle(points: int) -> np.ndarray:
+    """The ``points`` phasors e^{j 2 pi i / points}, each within about half an ulp.
+
+    Only the first octant is evaluated, where the angles carry the least
+    rounding; the rest of the circle follows by exact reflections and quarter
+    turns.  ``points`` is a multiple of 8.
+    """
+    eighth = points // 8
+    angle = np.arange(eighth + 1) * (2.0 * math.pi / points)
+    cos, sin = np.cos(angle), np.sin(angle)
+    quarter = np.empty(points // 4, complex)
+    quarter[: eighth + 1] = cos + 1j * sin
+    # e^{j (pi/2 - a)} = sin(a) + j cos(a)
+    quarter[eighth + 1 :] = (sin + 1j * cos)[eighth - 1 : 0 : -1]
+    return np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+
+
+# e^{j omega} = T[k mod L] e^{j theta}: T is the L-point table of the unit
+# circle, h = 2 pi / L, k = rint(omega / h) and |theta| = |omega - k h| <= h / 2
+_TABLE_SIZE = 4096
+_STEP = 2.0 * math.pi / _TABLE_SIZE
+_TABLE = _unit_circle(_TABLE_SIZE)
+# the constants below are 0-d arrays, which numpy takes without the
+# conversion a Python float costs on every call
+_INDEX_MASK = np.array(_TABLE_SIZE - 1)
+# adding 1.5 * 2^52 to |t| < 2^51 rounds t to the nearest integer k, and
+# leaves k mod L in the low bits of the sum
+_ROUNDER = np.array(1.5 * 2.0**52)
+# Taylor coefficients of e^{j f h} in powers of the step fraction f = t - k
+_ONE, _COS2, _COS4, _SIN1, _SIN3 = map(
+    np.array, (1.0, -_STEP**2 / 2, _STEP**4 / 24, _STEP, -_STEP**3 / 6)
+)
+
+
+def _unit_phasors(unit: np.ndarray, scale: float) -> np.ndarray:
+    """e^{j omega} for omega = scale * unit, as a new array shaped like ``unit``.
+
+    A table lookup and a short polynomial (Tang 1989): with T, L and h as
+    above, t = omega / h, k = rint(t) and theta = (t - k) h,
+
+        e^{j omega} = T[k mod L] (1 - theta^2/2 + theta^4/24 + j theta (1 - theta^2/6)).
+
+    The truncation error is below 2^-58 for |theta| <= pi / 4096, and each
+    phasor lies within 2 ulp * max(1, |omega|) of ``np.exp(1j * omega)``.
+    The reduction is exact while |t| < 2^51, which ``MAX_EPSILON`` ensures.
+    Every step writes in place, and at most five real arrays of ``unit``'s
+    size are alive at once, so a block's peak memory stays that of
+    ``np.exp(1j * (scale * unit))``.
+    """
+    t = np.multiply(unit, scale / _STEP)
+    k = np.add(t, _ROUNDER)
+    index = np.bitwise_and(k.view(np.int64), _INDEX_MASK)
+    k -= _ROUNDER
+    t -= k  # the step fraction f, exactly
+    f2 = np.multiply(t, t, out=k)
+    step = np.empty(unit.shape, complex)  # e^{j theta}
+    sin, cos = step.imag, step.real
+    np.multiply(f2, _SIN3, out=sin)
+    sin += _SIN1
+    sin *= t
+    np.multiply(f2, _COS4, out=t)
+    t += _COS2
+    t *= f2
+    np.add(t, _ONE, out=cos)
+    # freed before the table values are gathered, which need two arrays' room
+    del t, k, f2
+    return np.multiply(_TABLE.take(index), step, out=step)
 
 
 def bartlett_covariance(draws: WishartDraws, k_active, m_antennas, noise_variance) -> CovarianceBlock:

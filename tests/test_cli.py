@@ -236,6 +236,39 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--eps-max", "1e300"],
+            ["run", "--eps-max", "1000000.0000000001", "--cfo", "gaussian"],
+            ["sweep", "--axis", "epsilon", "--values", "0.15,2e6"],
+        ],
+        ids=["run-1e300", "run-next-float", "sweep-2e6"],
+    )
+    def test_offset_past_bound_exits_2(self, capsys, argv):
+        """Past MAX_EPSILON the table reduction of the phase stops being exact (at
+        1e300 it would index the table with garbage), so the request is refused."""
+        assert main([*argv, "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "[0, 1e+06]" in captured.err
+
+    def test_offset_at_bound_runs_without_warnings(self):
+        """At the bound every phase reduces exactly: no warning under -W error.
+        eig-diff is left out, since alpha underflows to 0 there (exit 3)."""
+        src = Path(auesim.cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "auesim", "run", "--eps-max", "1e6",
+             "--cfo", "gaussian", "--schemes", "eig-sum,orthogonal,mle", "--trials", str(BLOCK + 1)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row["nrmse_sim"])) for row in rows)
+
     def test_noise_power_just_inside_bound_runs(self, capsys):
         """At sigma^2 = 10^149.9 and M = 1 every covariance product stays finite:
         no overflow warning, and finite rows."""

@@ -260,6 +260,16 @@ class TestSharedDraws:
             assert run_sweep(config) == expected
 
 
+def limit_cpus(monkeypatch, allowed, count):
+    """Make the affinity set ``allowed`` cpus large, or absent as on platforms
+    without ``os.sched_getaffinity`` when None, and the cpu count ``count``."""
+    if allowed is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(allowed)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
 def fake_pool(monkeypatch):
     """Replace the process pool by one that runs each task at submit; returns the
     list of the worker counts of the pools started."""
@@ -330,7 +340,8 @@ class TestCollectEstimates:
     @pytest.mark.parametrize(
         "trials,workers,cpus,expected",
         [
-            (20_000, 10_000, 2, 2),  # cpu count binds
+            (20_000, 10_000, 2, 2),  # usable cpus bind
+            (20_000, 10_000, 1, None),  # one usable cpu: no pool at all
             (3 * BLOCK + 17, 10_000, 64, 4),  # block count binds
             (20_000, 3, 64, 3),  # the request binds
             (BLOCK, 8, 64, None),  # one block: no pool at all
@@ -338,20 +349,33 @@ class TestCollectEstimates:
         ],
     )
     def test_worker_clamp(self, monkeypatch, trials, workers, cpus, expected):
-        """The pool never gets more workers than blocks or CPUs, and its block ranges
-        reassemble the serial result; the fake pool starts no process."""
+        """The pool never gets more workers than blocks or usable CPUs, and its block
+        ranges reassemble the serial result; the fake pool starts no process.
+
+        ``cpus`` is the size of the affinity set, as under ``taskset``, and the
+        cpu count reads four times more: the count used to set the limit, so
+        ``--workers 64`` started 64 processes where one or two cpus were
+        allowed.  None stands for a platform without ``os.sched_getaffinity``
+        and an unknown cpu count."""
         pools = fake_pool(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        limit_cpus(monkeypatch, cpus, None if cpus is None else 4 * cpus)
         out = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12, workers=workers)
         assert pools == ([] if expected is None else [expected])
         serial = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12)
         np.testing.assert_array_equal(out[Scheme.ORTHOGONAL], serial[Scheme.ORTHOGONAL])
 
+    def test_worker_clamp_without_affinity_call(self, monkeypatch):
+        """Where the platform has no ``os.sched_getaffinity``, the cpu count binds."""
+        pools = fake_pool(monkeypatch)
+        limit_cpus(monkeypatch, None, 2)
+        collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), 20_000, seed=12, workers=64)
+        assert pools == [2]
+
     def test_sweep_starts_one_pool(self, monkeypatch):
         """A sweep clamps against its total block count and starts one pool for all
         points, even when every point fits in one block."""
         pools = fake_pool(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        limit_cpus(monkeypatch, 64, 64)
         config = small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0)))
         pooled = run_sweep(config, workers=10_000)
         assert pools == [3]
@@ -359,10 +383,13 @@ class TestCollectEstimates:
         assert pools == [3]
 
     def test_serial_run_skips_cpu_count(self, monkeypatch):
-        def cpu_count():
-            raise AssertionError("a serial run asked for the cpu count")
+        """A serial run asks neither for the affinity set nor for the cpu count."""
 
-        monkeypatch.setattr(os, "cpu_count", cpu_count)
+        def ask(*args):
+            raise AssertionError("a serial run asked for the usable cpus")
+
+        monkeypatch.setattr(os, "sched_getaffinity", ask, raising=False)
+        monkeypatch.setattr(os, "cpu_count", ask)
         point_nrmse(BASE_CFG, ALL_SCHEMES, 3 * BLOCK, seed=1)
 
     def test_more_workers_than_trials(self):

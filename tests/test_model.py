@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy import stats
 from auesim import model
 from auesim.estimators import characteristic_function
 from auesim.model import (
+    MAX_EPSILON,
     MAX_NOISE_VARIANCE,
     CfoKind,
     CfoModel,
@@ -40,10 +42,15 @@ class TestCfoModel:
         assert CfoModel.uniform(0.1).kind is CfoKind.UNIFORM
         assert CfoModel.gaussian(0.1).kind is CfoKind.GAUSSIAN
 
-    @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf, math.nextafter(MAX_EPSILON, math.inf)])
     def test_rejects_bad_epsilon(self, bad):
         with pytest.raises(ValueError):
             CfoModel.uniform(bad)
+
+    def test_accepts_epsilon_up_to_bound(self):
+        assert CfoModel.gaussian(MAX_EPSILON).epsilon_max == 1e6
+        with pytest.raises(ValueError, match=r"\[0, 1e\+06\]"):
+            CfoModel.gaussian(1e300)
 
 
 class TestDrawCfos:
@@ -357,7 +364,7 @@ class TestDrawWishart:
         # the normals come first; the gammas lie far along the stream
         rng.standard_normal(128)
         unit = rng.uniform(-1.0, 1.0, (25, 64))
-        phasors = np.exp(1j * (BASE_CFG.cfo.omega_max * unit))
+        phasors = model._unit_phasors(unit, BASE_CFG.cfo.omega_max)
         assert small.g.tobytes() == np.cumsum(phasors[:5], axis=0)[-1].tobytes()
         assert large.g.tobytes() == np.cumsum(phasors, axis=0)[-1].tobytes()
 
@@ -394,3 +401,63 @@ class TestDrawWishart:
     def test_rejects_configurations_that_cannot_share(self):
         with pytest.raises(ValueError, match="share the CFO kind"):
             _drawn([BASE_CFG, dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.15))], 4, 7305)
+
+
+class TestUnitPhasors:
+    """The table-and-Taylor phasors that replace ``np.exp(1j * omega)``."""
+
+    EPSILONS = (0.01, 0.15, 0.5, 10.0, 1e6)
+
+    @staticmethod
+    def _ulps(scale, unit):
+        """|phasor - np.exp(1j omega)| in units of 2^-52 max(1, |omega|)."""
+        omega = scale * unit
+        error = np.abs(model._unit_phasors(unit, scale) - np.exp(1j * omega))
+        return error / (2.0**-52 * np.maximum(1.0, np.abs(omega)))
+
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_within_8_ulp_of_exp(self, kind, epsilon):
+        seed = 7400 + 2 * self.EPSILONS.index(epsilon) + (kind is CfoKind.GAUSSIAN)
+        rng = np.random.default_rng(seed)
+        cfo = CfoModel(kind, epsilon)
+        if kind is CfoKind.GAUSSIAN:
+            unit, scale = rng.standard_normal((8, 2**14)), cfo.omega_max / 3.0
+        else:
+            unit, scale = rng.uniform(-1.0, 1.0, (8, 2**14)), cfo.omega_max
+        assert self._ulps(scale, unit).max() <= 8.0
+
+    def test_table_points_half_steps_and_quarter_turns(self):
+        """Exact multiples of the table step, ties between two entries, quarter
+        turns and the largest offsets the bound admits."""
+        step = 2.0 * math.pi / 4096
+        k = np.array([0.0, 1.0, 2.0, 511.0, 512.0, 1024.0, 2047.0, 2048.0, 4095.0, 4096.0, 1e9])
+        omega = np.concatenate([k * step, (k + 0.5) * step, [math.pi / 2, math.pi, 2.0 * math.pi]])
+        omega = np.concatenate([omega, -omega, [CfoModel.uniform(MAX_EPSILON).omega_max]])
+        assert self._ulps(1.0, omega).max() <= 8.0
+
+    def test_zero_offset_is_exactly_one(self):
+        phasors = model._unit_phasors(np.zeros((2, 3)), 0.7)
+        assert phasors.dtype == complex and phasors.shape == (2, 3)
+        assert np.all(phasors == 1.0) and not np.any(np.signbit(phasors.imag))
+
+    @pytest.mark.parametrize(
+        "k,trials,cfo,parent_kib",
+        [(25, 256, CfoModel.uniform(0.15), 306.4), (50, 100, CfoModel.gaussian(0.15), 238.4)],
+        ids=["uniform-25x256", "gaussian-50x100"],
+    )
+    def test_block_memory(self, k, trials, cfo, parent_kib):
+        """One block's tracemalloc peak stays within 1.2x that of the np.exp path
+        the kernel replaced (measured with stream 0.4.0 and numpy 2.4).  A kernel
+        that keeps ten temporaries alive needs about twice as much."""
+        cfg = dataclasses.replace(BASE_CFG, k_active=k, cfo=cfo)
+        out = WishartDraws.empty(trials)
+        draw_wishart((cfg,), np.random.default_rng(7410), (out,))
+        rng = np.random.default_rng(7410)
+        tracemalloc.start()
+        try:
+            draw_wishart((cfg,), rng, (out,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * parent_kib * 1024
