@@ -4,7 +4,8 @@ Two subcommands share one set of system flags: ``run`` simulates the base
 configuration as a single point, ``sweep`` varies one axis over a list of
 values; both build one ``ExperimentConfig`` and hand it to ``run_sweep``.
 Results go to stdout or ``--out`` as CSV or JSON.  Exit codes: 0 success,
-2 bad configuration, arguments or output path, 3 estimator domain error.
+2 bad configuration, arguments, output path or failed write, 3 estimator
+domain error.
 """
 
 from __future__ import annotations
@@ -173,23 +174,40 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the output is opened before the run, so that a path that cannot be
         # written fails at once; a file is neither cut nor written until the
         # rows are ready, so an existing one keeps its bytes on a failing exit
-        created = args.out != "-" and not os.path.lexists(args.out)
+        created = args.out if args.out != "-" and not os.path.lexists(args.out) else None
         output = _open_output(args.out, args.format)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2, None)
     with output as stream:
         try:
             rows = run_sweep(config, workers=args.workers)
         except EstimatorDomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            if created:
-                os.remove(args.out)
-            return 3
-        _dump(rows, stream, args.format)
-        if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-            stream.truncate()
+            return _fail(exc, 3, created)
+        try:
+            _dump(rows, stream, args.format)
+            # flushed here, so that a failed write of a short output is caught too
+            stream.flush()
+            if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate()
+        except OSError as exc:
+            if stream is sys.stdout:
+                # the Python docs' SIGPIPE note: the rest goes to the null device at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            else:
+                with contextlib.suppress(OSError):  # flushing the rest fails again
+                    stream.close()
+            return _fail(exc, 2, created)
     return 0
+
+
+def _fail(exc: Exception, code: int, created: str | None) -> int:
+    """Report ``exc`` on one line and remove the output file this call created."""
+    print(f"error: {exc}", file=sys.stderr)
+    if created is not None:
+        os.remove(created)
+    return code
 
 
 def _open_output(path: str, fmt: str):

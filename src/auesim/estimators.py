@@ -16,10 +16,10 @@ scheme is the maximum-likelihood count for the zero-offset model.  The
 away from zero and clamp to the population range [0, n_potential].
 
 Each formula is written once and reads only ``cov.r1``, ``cov.r2`` and
-``cov.r12``, so it takes a whole ``CovarianceBlock`` of arrays or one
-``reference.SampleCovariance``.  ``estimate_counts`` is the batched path the
-simulation runs: every requested scheme on one block, rounded and clamped in
-one step; ``estimate`` is the same for one scheme on one covariance.
+``cov.r12``, so it takes a whole ``CovarianceBlock`` of arrays or anything
+else with those three entries, one ``reference.SampleCovariance`` included.
+``estimate_counts`` is the path the simulation runs: every requested scheme
+on one block, rounded and clamped in one step.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ def characteristic_function(cfo: CfoModel) -> float:
     return math.exp(-0.5 * std * std)
 
 
-# anything with r1, r2 and r12 works, one reference.SampleCovariance included
-Covariance = CovarianceBlock
-
-
 def _clamped_counts(values: np.ndarray, n_potential: int) -> np.ndarray:
     """Round half away from zero, then clamp to [0, n_potential], elementwise."""
     if np.isnan(values).any():
@@ -120,24 +116,24 @@ def _require_alpha(alpha) -> None:
         )
 
 
-def eig_sum_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
+def eig_sum_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
     """Half the covariance trace minus the known noise floor."""
     return 0.5 * (cov.r1 + cov.r2) - ctx.noise_variance
 
 
-def eig_diff_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
+def eig_diff_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
     """Half the eigenvalue spread divided by alpha."""
     _require_alpha(ctx.alpha)
     spread = np.sqrt((cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2))
     return spread / (2.0 * ctx.alpha)
 
 
-def orthogonal_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
+def orthogonal_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
     """Symbol correlation Re(r12), exact in the mean when all offsets are zero."""
     return cov.r12.real
 
 
-def mle_statistic(cov: Covariance, ctx: EstimatorContext) -> float | np.ndarray:
+def mle_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
     """Maximum-likelihood count for the zero-offset model, before rounding."""
     return 0.25 * (cov.r1 + cov.r2 + 2.0 * cov.r12.real) - 0.5 * ctx.noise_variance
 
@@ -166,7 +162,9 @@ def check_domain(schemes: Sequence[Scheme], alpha: float) -> None:
         _require_alpha(alpha)
 
 
-def estimate_counts(schemes: Sequence[Scheme], cov: Covariance, ctx: EstimatorContext) -> np.ndarray:
+def estimate_counts(
+    schemes: Sequence[Scheme], cov: CovarianceBlock, ctx: EstimatorContext
+) -> np.ndarray:
     """Integer estimates of every scheme for every covariance in ``cov``, as int64.
 
     Row i holds ``schemes[i]``; all rows are computed from the same entries.
@@ -175,16 +173,6 @@ def estimate_counts(schemes: Sequence[Scheme], cov: Covariance, ctx: EstimatorCo
     for row, scheme in enumerate(schemes):
         values[row] = _STATISTICS[scheme](cov, ctx)
     return _clamped_counts(values, ctx.n_potential)
-
-
-def estimate(scheme: Scheme, cov: Covariance, ctx: EstimatorContext) -> int:
-    """Run one scheme on one sample covariance."""
-    return int(estimate_counts((scheme,), cov, ctx)[0])
-
-
-def statistic(scheme: Scheme, cov: Covariance, ctx: EstimatorContext) -> float:
-    """Real-valued statistic of one scheme before rounding and clamping."""
-    return float(_STATISTICS[scheme](cov, ctx))
 
 
 def multiplication_count(scheme: Scheme, m_antennas: int) -> int:

@@ -198,9 +198,12 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     try:
-        return 10.0 ** (-snr_db / 10.0)
+        noise_variance = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db = {snr_db} gives a noise power past the float range") from None
+    if noise_variance == 0.0:
+        raise ValueError(f"snr_db = {snr_db} gives a noise power that underflows to 0")
+    return noise_variance
 
 
 def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -> SystemConfig:
@@ -219,22 +222,8 @@ def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -
     return dataclasses.replace(base, k_active=int(value))
 
 
-def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
-    """Root mean squared count error, normalized by the true count."""
-    if k_true < 1:
-        raise ValueError(f"k_true must be >= 1, got {k_true}")
-    arr = np.asarray(estimates)
-    if arr.size == 0:
-        raise ValueError("estimates must be non-empty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"estimates must be integers, got dtype {arr.dtype}")
-    k = int(k_true)
-    # Python integers: no square or sum can overflow
-    return _nrmse_of_sum(sum((e - k) * (e - k) for e in arr.tolist()), arr.size, k_true)
-
-
 def _nrmse_of_sum(squared_sum: int, trials: int, k_true: int) -> float:
-    """``nrmse`` of ``trials`` estimates whose squared errors sum to ``squared_sum``."""
+    """NRMSE of ``trials`` estimates whose squared errors sum to ``squared_sum``."""
     return math.sqrt(float(squared_sum) / trials) / k_true
 
 

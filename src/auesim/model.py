@@ -15,14 +15,14 @@ Given the offsets, the M columns of Y are i.i.d. CN(0, Sigma) with
 
     Sigma = [[P, conj(g)], [g, P]],    P = K + sigma_z^2,  g = sum_n e^{j omega_n},
 
-so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma).
-``sample_wishart`` draws it directly in O(K) per trial; the simulation runs
-its two halves, ``draw_wishart`` once per seeded block for all the
-configurations of that block, and ``bartlett_covariance`` once over many
-blocks.  The phasors e^{j omega_n} come from a table of the unit circle and
-a short Taylor step (``_unit_phasors``), within a few ulps of ``np.exp``.
+so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma), which the
+complex Bartlett decomposition draws directly in O(K) per trial.  The
+simulation runs it in two halves: ``draw_wishart`` once per seeded block for
+all the configurations of that block, and ``bartlett_covariance`` once over
+many blocks.  The phasors e^{j omega_n} come from a table of the unit circle
+and a short Taylor step (``_unit_phasors``), within a few ulps of ``np.exp``.
 Y itself is synthesised only by the direct model in ``auesim.reference``,
-for the tests.
+which the tests check this sampler's law against.
 """
 
 from __future__ import annotations
@@ -130,11 +130,6 @@ class SystemConfig:
             raise ValueError(
                 f"noise_variance must lie in (0, {MAX_NOISE_VARIANCE:g}], got {self.noise_variance}"
             )
-
-    @property
-    def snr_db(self) -> float:
-        """Per-user SNR in dB implied by unit receive power: -10*log10(sigma_z^2)."""
-        return -10.0 * math.log10(self.noise_variance)
 
 
 class WishartDraws(NamedTuple):
@@ -344,19 +339,3 @@ def bartlett_covariance(draws: WishartDraws, k_active, m_antennas, noise_varianc
     check_entries(*block)
     return block
 
-
-def sample_wishart(cfg: SystemConfig, trials: int, rng: np.random.Generator) -> CovarianceBlock:
-    """Sample covariance entries (r1, r2, r12) of ``trials`` independent pilot slots.
-
-    Each slot draws its K offsets, forms Sigma as in the module docstring and
-    samples M R ~ CW_2(M, Sigma) by the complex Bartlett decomposition
-    (Goodman 1963): with L = chol(Sigma) and A = [[a11, 0], [a21, a22]],
-    a11^2 ~ Gamma(M), a22^2 ~ Gamma(M - 1) (zero when M = 1) and
-    a21 ~ CN(0, 1), X = L A gives M R = X X^H, which has the law of the
-    direct model in ``auesim.reference``.  The stream is consumed as
-    ``draw_wishart`` documents, and the entries are formed by
-    ``bartlett_covariance``.
-    """
-    draws = WishartDraws.empty(trials)
-    draw_wishart((cfg,), rng, (draws,))
-    return bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)

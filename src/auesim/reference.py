@@ -1,21 +1,24 @@
-"""Direct 2 x M pilot model, the reference the tests check the Wishart sampler against.
+"""Test oracles: the direct 2 x M pilot model, population moments and an exact NRMSE.
 
 ``generate_received`` synthesises the block Y of ``auesim.model`` channel by
 channel, with offsets from ``draw_cfos``, and ``sample_covariance`` forms
-R = Y Y^H / M from it.  The simulation never runs this code, and no
-production module imports it.
+R = Y Y^H / M from it.  ``moment_oracles`` and ``population_eigenvalues``
+are the closed forms at a ``PopulationSpec``, and ``nrmse`` scores a list of
+counts in Python integers.  No production module imports this one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .covariance import check_entries
+from .harness import _nrmse_of_sum
 from .model import CfoKind, CfoModel, SystemConfig
-from .theory import PopulationSpec
+from .theory import _check_power
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -150,6 +153,55 @@ def gamma_exact(omegas: np.ndarray) -> float:
     return float(abs(phasor))
 
 
+@dataclass(frozen=True)
+class PopulationSpec:
+    """Operating point for the closed-form quantities."""
+
+    k_active: int
+    noise_variance: float
+    alpha: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.k_active < 0:
+            raise ValueError(f"k_active must be >= 0, got {self.k_active}")
+        if not math.isfinite(self.noise_variance) or self.noise_variance < 0.0:
+            raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance}")
+        _check_power(self.k_active, self.noise_variance)
+        if not -1.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
+
+
+@dataclass(frozen=True)
+class CovarianceMoments:
+    """First and second moments of the diagonal covariance entries."""
+
+    r1_mean: float
+    r1_square_mean: float
+    r1_r2_mean: float
+
+
+def moment_oracles(spec: PopulationSpec, m_antennas: int) -> CovarianceMoments:
+    """Exact moments of R1 (and the R1*R2 cross moment) at the operating point.
+
+    With P = K + sigma_z^2:
+
+        E[R1]      = P
+        E[R1^2]    = (1 + 1/M) P^2
+        E[R1 R2]   = (K + K(K-1) alpha^2) / M + P^2
+
+    R1 and R2 are identically distributed, so the same numbers serve for R2.
+    """
+    if m_antennas < 1:
+        raise ValueError(f"m_antennas must be >= 1, got {m_antennas}")
+    k = float(spec.k_active)
+    power = k + spec.noise_variance
+    return CovarianceMoments(
+        r1_mean=power,
+        r1_square_mean=(1.0 + 1.0 / m_antennas) * power**2,
+        r1_r2_mean=(k + k * (k - 1.0) * spec.alpha**2) / m_antennas + power**2,
+    )
+
+
 def population_eigenvalues(spec: PopulationSpec, gamma: float) -> EigenPair:
     """Population covariance eigenvalues K + sigma_z^2 +- gamma.
 
@@ -161,3 +213,17 @@ def population_eigenvalues(spec: PopulationSpec, gamma: float) -> EigenPair:
         raise ValueError(f"gamma must lie in [0, k_active={k}], got {gamma}")
     level = k + spec.noise_variance
     return EigenPair(lambda_max=level + gamma, lambda_min=level - gamma)
+
+
+def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
+    """Root mean squared count error, normalized by the true count."""
+    if k_true < 1:
+        raise ValueError(f"k_true must be >= 1, got {k_true}")
+    arr = np.asarray(estimates)
+    if arr.size == 0:
+        raise ValueError("estimates must be non-empty")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"estimates must be integers, got dtype {arr.dtype}")
+    k = int(k_true)
+    # Python integers: no square or sum can overflow
+    return _nrmse_of_sum(sum((e - k) * (e - k) for e in arr.tolist()), arr.size, k_true)

@@ -28,18 +28,20 @@ from auesim.harness import (
     SweepAxis,
     SweepSpec,
     collect_estimates,
-    nrmse,
     run_sweep,
     write_csv,
 )
 from auesim.model import CfoModel, SystemConfig
 from auesim.reference import (
+    PopulationSpec,
     ReceivedPilot,
     eigenvalues,
     generate_received,
+    moment_oracles,
+    nrmse,
     sample_covariance,
 )
-from auesim.theory import PopulationSpec, moment_oracles, nrmse_eig_sum_theory
+from auesim.theory import nrmse_eig_sum_theory
 
 BASE_CFG = SystemConfig(
     n_potential=100,

@@ -1,6 +1,8 @@
 """Tests for the command line front end."""
 
 import csv
+import errno
+import importlib
 import io
 import json
 import math
@@ -20,6 +22,12 @@ from auesim.harness import BLOCK, CSV_HEADER, DEFAULT_TRIALS
 
 def read_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def child_env(**overrides):
+    """Environment of a child interpreter that imports this checkout's package."""
+    src = Path(auesim.cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src), **overrides)
 
 
 class TestParserDefaults:
@@ -219,22 +227,79 @@ class TestExitCodes:
         assert "exceeds MAX_POPULATION = 33554431" in captured.err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,named",
         [
-            ["run", "--snr-db=-4000"],  # 10^400 overflowed in the dB conversion
-            ["run", "--snr-db=-3080"],  # finite, but r1 overflowed to inf mid-run
-            ["run", "--snr-db=-1500.1"],
-            ["sweep", "--axis", "snr", "--values=10,-4000"],
-            ["sweep", "--axis", "snr", "--values=10,-3080"],
+            (["run", "--snr-db=-4000"], "snr_db = -4000.0"),  # 10^400 overflowed in the dB conversion
+            (["run", "--snr-db=-3080"], "noise_variance"),  # finite, but r1 overflowed to inf mid-run
+            (["run", "--snr-db=-1500.1"], "noise_variance"),
+            (["sweep", "--axis", "snr", "--values=10,-4000"], "snr_db = -4000.0"),
+            (["sweep", "--axis", "snr", "--values=10,-3080"], "noise_variance"),
+            # 10^-400 underflows to 0, and the error named noise_variance = 0.0
+            (["run", "--snr-db=4000"], "snr_db = 4000.0"),
+            (["sweep", "--axis", "snr", "--values=10,4000"], "snr_db = 4000.0"),
         ],
-        ids=["run-4000", "run-3080", "run-1500.1", "sweep-4000", "sweep-3080"],
+        ids=["run-4000", "run-3080", "run-1500.1", "sweep-4000", "sweep-3080", "run+4000", "sweep+4000"],
     )
-    def test_noise_power_past_bound_exits_2(self, capsys, argv):
-        """Both used to end in a traceback with exit 1, the second only mid-run."""
+    def test_noise_power_past_bound_exits_2(self, capsys, argv, named):
+        """Both used to end in a traceback with exit 1, the second only mid-run.
+        The error names the SNR where the noise power leaves the float range."""
         assert main([*argv, "--m", "1", "--trials", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--trials", "5", "--schemes", "orthogonal"],
+            ["sweep", "--axis", "k", "--values", ",".join(map(str, range(1, 101))), "--trials", "10"],
+        ],
+        ids=["buffered", "mid-write"],
+    )
+    def test_closed_pipe_exits_2_without_traceback(self, argv):
+        """A reader that had gone away gave a BrokenPipeError traceback from
+        write_csv (exit 1) or, for output still buffered, an "Exception ignored"
+        line at shutdown (exit 120).  The read end is closed before the run, so
+        the write fails on every run."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "auesim", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=child_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_full_device_exits_2(self, capsys):
+        """Writing to /dev/full ended in an OSError traceback (exit 1) when the file closed."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        assert main(["run", "--trials", "5", "--schemes", "orthogonal", "--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert os.path.exists("/dev/full")
+
+    def test_failed_write_removes_only_a_created_file(self, tmp_path, monkeypatch, capsys):
+        def full(rows, stream):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(auesim.cli, "write_csv", full)
+        fresh = tmp_path / "fresh.csv"
+        assert main(["run", "--trials", "5", "--out", str(fresh)]) == 2
+        assert not fresh.exists()
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier results\n")
+        assert main(["run", "--trials", "5", "--out", str(kept)]) == 2
+        assert kept.read_bytes() == b"earlier results\n"
+        assert capsys.readouterr().err.count("error: ") == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -256,13 +321,12 @@ class TestExitCodes:
     def test_offset_at_bound_runs_without_warnings(self):
         """At the bound every phase reduces exactly: no warning under -W error.
         eig-diff is left out, since alpha underflows to 0 there (exit 3)."""
-        src = Path(auesim.cli.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "auesim", "run", "--eps-max", "1e6",
              "--cfo", "gaussian", "--schemes", "eig-sum,orthogonal,mle", "--trials", str(BLOCK + 1)],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            env=child_env(),
         )
         assert proc.returncode == 0 and proc.stderr == ""
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
@@ -358,7 +422,7 @@ class TestEntryPoints:
             f"sys.exit({entry.attr}())\n"
         )
         launcher.chmod(0o755)
-        env = dict(os.environ, PATH=os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")]))
+        env = child_env(PATH=os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")]))
         proc = subprocess.run(
             ["auesim", "run", "--trials", "5", "--schemes", "orthogonal", "--seed", "1"],
             capture_output=True,
@@ -370,15 +434,15 @@ class TestEntryPoints:
 
     def test_serial_run_loads_no_pool_machinery(self):
         """The process pool is imported only when one starts: importing the CLI and a
-        serial run leave concurrent.futures unloaded.  Neither loads the direct
-        reference model either."""
-        src = Path(auesim.cli.__file__).resolve().parents[1]
+        serial run leave concurrent.futures unloaded.  No production module loads
+        the reference code, and none keeps a name that moved there or was deleted."""
         code = (
             "import os, sys\n"
             "import auesim.cli\n"
             "loaded = ['concurrent.futures' in sys.modules]\n"
             "auesim.cli.main(['run', '--trials', '300', '--out', os.devnull])\n"
             "loaded.append('concurrent.futures' in sys.modules)\n"
+            "from auesim import cli, covariance, estimators, harness, model, theory\n"
             "loaded.append('auesim.reference' in sys.modules)\n"
             "print(loaded)\n"
         )
@@ -386,16 +450,31 @@ class TestEntryPoints:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[False, False, False]"
+        gone = {
+            "model": ("sample_wishart",),
+            "model.SystemConfig": ("snr_db",),
+            "estimators": ("estimate", "statistic", "Covariance"),
+            "harness": ("nrmse",),
+            "theory": ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
+        }
+        left = []
+        for owner, names in gone.items():
+            module, _, cls = owner.partition(".")
+            scope = importlib.import_module(f"auesim.{module}")
+            scope = getattr(scope, cls) if cls else scope
+            left += [f"{owner}.{name}" for name in names if hasattr(scope, name)]
+        assert left == []
 
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "auesim", "run", "--trials", "5", "--schemes", "mle"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith(",".join(CSV_HEADER))

@@ -15,17 +15,28 @@ from auesim.estimators import (
     characteristic_function,
     eig_diff_statistic,
     eig_sum_statistic,
-    estimate,
     estimate_counts,
     mle_statistic,
     multiplication_count,
     orthogonal_statistic,
-    statistic,
 )
 from auesim.model import CfoModel
 from auesim.reference import ReceivedPilot, SampleCovariance, eigenvalues, sample_covariance
 
 CTX = EstimatorContext(noise_variance=0.1, alpha=0.8583936913341694, n_potential=100)
+
+# the statistic behind each scheme, as the paper defines it
+STATISTIC = {
+    Scheme.EIG_SUM: eig_sum_statistic,
+    Scheme.EIG_DIFF: eig_diff_statistic,
+    Scheme.ORTHOGONAL: orthogonal_statistic,
+    Scheme.MLE: mle_statistic,
+}
+
+
+def estimate(scheme, cov, ctx):
+    """Count of one scheme on one covariance: the one entry of ``estimate_counts``."""
+    return estimate_counts((scheme,), cov, ctx)[0]
 
 
 def random_cov(rng, m=8):
@@ -134,11 +145,18 @@ class TestStatistics:
             assert eig_diff_statistic(cov, CTX) == pytest.approx(literal, rel=1e-12, abs=1e-14)
 
     def test_statistic_dispatch(self):
-        cov = random_cov(np.random.default_rng(45))
-        assert statistic(Scheme.EIG_SUM, cov, CTX) == eig_sum_statistic(cov, CTX)
-        assert statistic(Scheme.EIG_DIFF, cov, CTX) == eig_diff_statistic(cov, CTX)
-        assert statistic(Scheme.ORTHOGONAL, cov, CTX) == orthogonal_statistic(cov, CTX)
-        assert statistic(Scheme.MLE, cov, CTX) == mle_statistic(cov, CTX)
+        """Each row of ``estimate_counts`` rounds the statistic of its own scheme,
+        whatever the order the schemes are asked in."""
+        rng = np.random.default_rng(45)
+        covs = [random_cov(rng) for _ in range(50)]
+        # scaled so the four schemes give distinct counts
+        r1, r2, r12 = zip(*((c.r1, c.r2, c.r12) for c in covs))
+        block = CovarianceBlock(8.0 * np.array(r1), 8.0 * np.array(r2), 8.0 * np.array(r12))
+        for schemes in (tuple(Scheme), tuple(reversed(Scheme))):
+            counts = estimate_counts(schemes, block, CTX)
+            for row, scheme in zip(counts, schemes):
+                raw = STATISTIC[scheme](block, CTX)
+                assert list(row) == [_round_half_away_clamped(x, CTX.n_potential) for x in raw]
 
 
 class TestRoundingAndClamping:
@@ -168,17 +186,16 @@ class TestRoundingAndClamping:
         rng = np.random.default_rng(46)
         for _ in range(50):
             cov = random_cov(rng)
-            for scheme in Scheme:
-                value = estimate(scheme, cov, CTX)
-                assert isinstance(value, int)
-                assert 0 <= value <= CTX.n_potential
+            counts = estimate_counts(tuple(Scheme), cov, CTX)
+            assert counts.dtype == np.int64
+            assert np.all((0 <= counts) & (counts <= CTX.n_potential))
 
     def test_estimate_matches_rounded_statistic(self):
         rng = np.random.default_rng(47)
         for _ in range(200):
             cov = random_cov(rng)
             for scheme in Scheme:
-                raw = statistic(scheme, cov, CTX)
+                raw = STATISTIC[scheme](cov, CTX)
                 expected = min(max(int(math.floor(raw + 0.5)) if raw >= 0 else int(math.ceil(raw - 0.5)), 0), 100)
                 assert estimate(scheme, cov, CTX) == expected
 
@@ -228,7 +245,7 @@ class TestEstimateArray:
         assert batch.shape == cov.r1.shape
         for i, (r1, r2, r12) in enumerate(zip(*cov)):
             one = SampleCovariance(r1=float(r1), r2=float(r2), r12=complex(r12))
-            expected = _round_half_away_clamped(statistic(scheme, one, self.CTX), 10)
+            expected = _round_half_away_clamped(STATISTIC[scheme](one, self.CTX), 10)
             assert estimate(scheme, one, self.CTX) == expected
             assert batch[i] == expected, f"element {i}: {(r1, r2, r12)}"
 
@@ -251,7 +268,7 @@ class TestEstimateArray:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_edges_cover_ties_negatives_and_clamp(self, scheme):
         """Guard the test data itself: each scheme meets the cases it should."""
-        raw = np.array([statistic(scheme, SampleCovariance(*edge), self.CTX) for edge in self.EDGES])
+        raw = np.array([STATISTIC[scheme](SampleCovariance(*edge), self.CTX) for edge in self.EDGES])
         assert np.any((raw % 1.0 == 0.5) & (raw > 0.0))
         assert np.any(raw > self.CTX.n_potential)
         # the eig-diff statistic is a square root, never negative

@@ -26,13 +26,13 @@ from auesim.harness import (
     SweepSpec,
     apply_axis_value,
     collect_estimates,
-    nrmse,
     run_sweep,
     snr_db_to_noise_variance,
     write_csv,
     write_json,
 )
 from auesim.model import CfoKind, CfoModel, SystemConfig
+from auesim.reference import nrmse
 from auesim.theory import nrmse_eig_sum_theory
 
 BASE_CFG = SystemConfig(

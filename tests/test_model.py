@@ -19,10 +19,16 @@ from auesim.model import (
     WishartDraws,
     bartlett_covariance,
     draw_wishart,
-    sample_wishart,
 )
-from auesim.reference import ReceivedPilot, draw_cfos, generate_received, sample_covariance
-from auesim.theory import PopulationSpec, moment_oracles
+from auesim.harness import snr_db_to_noise_variance
+from auesim.reference import (
+    PopulationSpec,
+    ReceivedPilot,
+    draw_cfos,
+    generate_received,
+    moment_oracles,
+    sample_covariance,
+)
 
 BASE_CFG = SystemConfig(
     n_potential=100,
@@ -107,10 +113,11 @@ class TestDrawCfos:
 class TestSystemConfig:
     def test_accepts_noise_power_up_to_bound(self):
         cfg = dataclasses.replace(BASE_CFG, noise_variance=MAX_NOISE_VARIANCE)
-        assert cfg.snr_db == pytest.approx(-1500.0, rel=1e-12)
+        assert snr_db_to_noise_variance(-1500.0) == pytest.approx(cfg.noise_variance, rel=1e-12)
 
     def test_snr_db_property(self):
-        assert BASE_CFG.snr_db == pytest.approx(10.0, rel=1e-12)
+        """The CLI's per-user SNR maps to sigma_z^2 = 10^(-SNR/10) at unit receive power."""
+        assert snr_db_to_noise_variance(10.0) == pytest.approx(BASE_CFG.noise_variance, rel=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -233,6 +240,14 @@ def _ks_config(m, cfo):
     # few users and a wide offset spread, so the per-trial offsets move
     # Sigma a lot and a sampler that mixed over them wrongly would show
     return SystemConfig(n_potential=10, k_active=4, m_antennas=m, noise_variance=0.5, cfo=cfo)
+
+
+def sample_wishart(cfg, trials, rng):
+    """Entries of ``trials`` slots of ``cfg`` from ``rng``: one ``draw_wishart``
+    record, then ``bartlett_covariance``, as the simulation runs them."""
+    draws = WishartDraws.empty(trials)
+    draw_wishart((cfg,), rng, (draws,))
+    return bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)
 
 
 class TestSampleWishart:

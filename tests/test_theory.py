@@ -9,18 +9,15 @@ import pytest
 from auesim.estimators import characteristic_function
 from auesim.model import CfoModel, SystemConfig
 from auesim.reference import (
+    CovarianceMoments,
+    PopulationSpec,
     gamma_exact,
     generate_received,
+    moment_oracles,
     population_eigenvalues,
     sample_covariance,
 )
-from auesim.theory import (
-    MAX_POWER,
-    CovarianceMoments,
-    PopulationSpec,
-    moment_oracles,
-    nrmse_eig_sum_theory,
-)
+from auesim.theory import MAX_POWER, nrmse_eig_sum_theory
 
 ALPHA_UNIFORM_015 = 0.8583936913341694
 
