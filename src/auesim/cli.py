@@ -178,36 +178,48 @@ def main(argv: Sequence[str] | None = None) -> int:
         output = _open_output(args.out, args.format)
     except (ValueError, OSError) as exc:
         return _fail(exc, 2, None)
-    with output as stream:
-        try:
-            rows = run_sweep(config, workers=args.workers)
-        except EstimatorDomainError as exc:
-            return _fail(exc, 3, created)
-        try:
-            _dump(rows, stream, args.format)
-            # flushed here, so that a failed write of a short output is caught too
-            stream.flush()
-            if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                stream.truncate()
-        except OSError as exc:
-            if stream is sys.stdout:
-                # the Python docs' SIGPIPE note: the rest goes to the null device at exit
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
-            else:
-                with contextlib.suppress(OSError):  # flushing the rest fails again
-                    stream.close()
-            return _fail(exc, 2, created)
+    try:
+        with output as stream:
+            try:
+                rows = run_sweep(config, workers=args.workers)
+            except EstimatorDomainError as exc:
+                return _fail(exc, 3, created)
+            try:
+                _dump(rows, stream, args.format)
+                # flushed here, so that a failed write of a short output is caught too
+                stream.flush()
+                if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                    stream.truncate()
+            except OSError as exc:
+                if stream is sys.stdout:
+                    # the Python docs' SIGPIPE note: the rest goes to the null device at exit
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, sys.stdout.fileno())
+                    os.close(devnull)
+                else:
+                    with contextlib.suppress(OSError):  # flushing the rest fails again
+                        stream.close()
+                return _fail(exc, 2, created)
+    except BaseException:
+        # an interrupt or an unexpected error leaves no new, empty file behind
+        _remove(created)
+        raise
     return 0
 
 
 def _fail(exc: Exception, code: int, created: str | None) -> int:
     """Report ``exc`` on one line and remove the output file this call created."""
     print(f"error: {exc}", file=sys.stderr)
-    if created is not None:
-        os.remove(created)
+    _remove(created)
     return code
+
+
+def _remove(created: str | None) -> None:
+    """Remove the output file this call created, if any; a failure to remove
+    it is ignored, so that it cannot hide the error being reported."""
+    if created is not None:
+        with contextlib.suppress(OSError):
+            os.remove(created)
 
 
 def _open_output(path: str, fmt: str):

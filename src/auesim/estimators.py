@@ -108,7 +108,8 @@ def _clamped_counts(values: np.ndarray, n_potential: int) -> np.ndarray:
 
 
 def _require_alpha(alpha) -> None:
-    smallest = float(np.min(alpha))
+    # a scalar alpha, the one of a single point, skips the array round trip
+    smallest = alpha if isinstance(alpha, float) else float(np.min(alpha))
     if smallest <= ALPHA_MIN:
         raise EstimatorDomainError(
             f"characteristic function too small (alpha = {smallest:.3e}, "

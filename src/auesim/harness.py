@@ -45,12 +45,12 @@ import csv
 import dataclasses
 import enum
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import IO, Iterable, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -434,31 +434,47 @@ def write_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
         )
 
 
-def _row_payload(row: SweepRow) -> Mapping[str, object]:
-    axis_value: object = None
-    if row.axis_value is not None:
-        v = float(row.axis_value)
-        axis_value = int(v) if v.is_integer() else v
-    return {
-        "axis": row.axis,
-        "axis_value": axis_value,
-        "scheme": row.scheme.value,
-        "nrmse_sim": row.nrmse_sim,
-        "nrmse_theory": row.nrmse_theory,
-        "trials": row.trials,
-        "seed": row.seed,
-    }
+# ``json.dumps`` spells the non-finite floats so, and every other float as its repr
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# one row at the indent of ``json.dumps(rows, indent=2)``; axis and scheme are
+# already JSON strings, quoted and escaped
+_JSON_ROW = (
+    '  {\n    "axis": %s,\n    "axis_value": %s,\n    "scheme": %s,\n    "nrmse_sim": %s,\n'
+    '    "nrmse_theory": %s,\n    "trials": %d,\n    "seed": %d\n  }'
+)
 
 
-# encodes one row's fields at the indent of ``json.dumps(rows, indent=2)``;
-# without ``indent`` it runs the C encoder, which leaves no cyclic garbage
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_axis_value(value: float | None) -> str:
+    if value is None:
+        return "null"
+    v = float(value)
+    return str(int(v)) if v.is_integer() else _json_float(v)
 
 
 def write_json(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     """Write the rows as a JSON array of objects, one object per result row.
 
-    The bytes are those of ``json.dumps(payloads, indent=2)``.
+    The bytes are those of ``json.dumps`` with ``indent=2`` of one object
+    per row, with the fields in ``CSV_HEADER`` order, an integral axis value
+    as an integer and a missing one as null.
     """
-    objects = ["  {\n    " + _ROW_ENCODER.encode(_row_payload(row))[1:-1] + "\n  }" for row in rows]
+    objects = [
+        _JSON_ROW
+        % (
+            encode_basestring_ascii(row.axis),
+            _json_axis_value(row.axis_value),
+            encode_basestring_ascii(row.scheme.value),
+            _json_float(row.nrmse_sim),
+            "null" if row.nrmse_theory is None else _json_float(row.nrmse_theory),
+            row.trials,
+            row.seed,
+        )
+        for row in rows
+    ]
     stream.write("[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n")

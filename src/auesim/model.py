@@ -152,7 +152,10 @@ class WishartDraws(NamedTuple):
 
     def part(self, start: int, stop: int) -> "WishartDraws":
         """Views of slots ``start`` up to ``stop``; filling them fills this record."""
-        return WishartDraws(*(values[start:stop] for values in self))
+        g, gamma_m, gamma_m1, re, im = self
+        return WishartDraws(
+            g[start:stop], gamma_m[start:stop], gamma_m1[start:stop], re[start:stop], im[start:stop]
+        )
 
 
 def draw_wishart(
@@ -171,8 +174,9 @@ def draw_wishart(
     entry state advanced by ``GAMMA_OFFSET`` draws, once per distinct M.  So
     every configuration gets exactly the draws it would get alone, only its
     gammas depend on M, and one with K users reads the first K*B offsets.
-    Only the phasor sums g are kept, each the running sum of the phasors
-    (``_unit_phasors``) added one user row at a time.  The bit generator of
+    Only the phasor sums g are kept.  Each is the sum of its K phasors
+    (``_unit_phasors``) in exactly one order, on which the bytes depend: from
+    +0, one user row after another in user order.  The bit generator of
     ``rng`` must support ``advance``, as PCG64, the default, does.
     """
     kind = cfgs[0].cfo.kind
@@ -206,14 +210,20 @@ def draw_wishart(
 def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -> None:
     """Draw the unit offsets of ``draw_wishart`` and write each configuration's g.
 
-    Users are drawn and phased ``CHUNK_DRAWS // B`` at a time, carrying the
-    running sums, so transient memory does not grow with K and the result is
-    bit for bit that of one chunk.  Phasors are formed once per distinct
-    scale, for the largest K at that scale.
+    The sum at one scale adds the phasor rows from +0 in user order, as a
+    loop of ``total += row`` would, but pays per target K, not per user:
+    each run of rows up to the next target K is one ``sum(axis=0)``, which
+    adds the rows of a C-ordered block one after another, after the running
+    total has been added into the run's first row.  So every addition is one
+    the loop makes, in its order, and the bits are the loop's.  Users are
+    drawn and phased ``CHUNK_DRAWS // B`` at a time, carrying the total, so
+    transient memory does not grow with K and the result is bit for bit that
+    of one chunk.  Phasors are formed once per distinct scale, for the
+    largest K at that scale.
     """
     trials = outs[0].g.size
     gaussian = cfgs[0].cfo.kind is CfoKind.GAUSSIAN
-    # scale -> K -> the g records that take the running sum after K users
+    # scale -> K -> the g records that take the sum of the first K users
     wanted: dict[float, dict[int, list[np.ndarray]]] = {}
     for cfg, out in zip(cfgs, outs):
         scale = cfg.cfo.omega_max / (3.0 if gaussian else 1.0)
@@ -225,20 +235,33 @@ def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -
     if not wanted:
         return
     users = max(max(targets) for targets in wanted.values())
+    # a +0 start, so that even the sign of a zero is that of adding row by row
     sums = {scale: np.zeros(trials, complex) for scale in wanted}
     step = max(1, CHUNK_DRAWS // trials)
     for lo in range(0, users, step):
         rows = min(step, users - lo)
-        unit = rng.standard_normal((rows, trials)) if gaussian else rng.uniform(-1.0, 1.0, (rows, trials))
+        if gaussian:
+            unit = rng.standard_normal((rows, trials))
+        else:
+            # uniform(-1, 1) computes -1 + 2u from the same draws; 2u - 1 is that exactly
+            unit = rng.random((rows, trials))
+            unit *= 2.0
+            unit -= 1.0
         for scale, targets in wanted.items():
             needed = min(rows, max(targets) - lo)
             if needed <= 0:
                 continue
+            phasors = _unit_phasors(unit[:needed], scale)
             total = sums[scale]
-            for user, phasor in enumerate(_unit_phasors(unit[:needed], scale), start=lo + 1):
-                total += phasor
-                for g in targets.get(user, ()):
+            first = 0
+            ends = sorted(k - lo for k in targets if lo < k < lo + needed)
+            for end in (*ends, needed):
+                phasors[first] += total
+                total = phasors[first:end].sum(axis=0)
+                for g in targets.get(lo + end, ()):
                     g[...] = total
+                first = end
+            sums[scale] = total
 
 
 def _unit_circle(points: int) -> np.ndarray:

@@ -301,6 +301,25 @@ class TestExitCodes:
         assert kept.read_bytes() == b"earlier results\n"
         assert capsys.readouterr().err.count("error: ") == 2
 
+    @pytest.mark.parametrize("exception", [KeyboardInterrupt, RuntimeError])
+    @pytest.mark.parametrize("stage", ["run_sweep", "write_csv"])
+    def test_interrupt_removes_only_a_created_file(self, tmp_path, monkeypatch, stage, exception):
+        """An interrupt or an unexpected error in the run or the write propagates,
+        and takes the file this call created with it, not an existing one."""
+        def interrupted(*args, **kwargs):
+            raise exception
+
+        monkeypatch.setattr(auesim.cli, stage, interrupted)
+        fresh = tmp_path / "fresh.csv"
+        with pytest.raises(exception):
+            main(["run", "--trials", "5", "--out", str(fresh)])
+        assert not fresh.exists()
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier results\n")
+        with pytest.raises(exception):
+            main(["run", "--trials", "5", "--out", str(kept)])
+        assert kept.read_bytes() == b"earlier results\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -381,6 +400,13 @@ class TestExitCodes:
         code = main(["run", "--eps-max", "0.5", "--schemes", "eig-diff", "--trials", "5"])
         assert code == 3
         assert "characteristic function too small" in capsys.readouterr().err
+
+    def test_sweep_domain_error_names_the_point(self, capsys):
+        argv = ["sweep", "--axis", "epsilon", "--values", "0,0.5", "--schemes", "eig-diff"]
+        assert main([*argv, "--trials", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon = 0.5: characteristic function too small")
 
     def test_success_exits_0(self, capsys):
         assert main(["run", "--trials", "5", "--schemes", "orthogonal"]) == 0

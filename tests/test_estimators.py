@@ -13,6 +13,7 @@ from auesim.estimators import (
     EstimatorDomainError,
     Scheme,
     characteristic_function,
+    check_domain,
     eig_diff_statistic,
     eig_sum_statistic,
     estimate_counts,
@@ -304,6 +305,16 @@ class TestEigDiffGuard:
     def test_accepts_alpha_above_limit(self):
         ctx = EstimatorContext(noise_variance=0.1, alpha=2 * ALPHA_MIN, n_potential=100)
         assert estimate(Scheme.EIG_DIFF, cov_with_cross(0.001), ctx) >= 0
+
+    @pytest.mark.parametrize(
+        "form", [float, np.float64, lambda a: np.array([a])], ids=["float", "float64", "array"]
+    )
+    def test_bound_is_exclusive_for_every_alpha_form(self, form):
+        """A scalar alpha is compared directly and an array by its minimum: the
+        limit itself is refused and the next float up is accepted either way."""
+        with pytest.raises(EstimatorDomainError):
+            check_domain((Scheme.EIG_DIFF,), form(ALPHA_MIN))
+        check_domain((Scheme.EIG_DIFF,), form(np.nextafter(ALPHA_MIN, 1.0)))
 
     def test_domain_error_is_value_error(self):
         assert issubclass(EstimatorDomainError, ValueError)

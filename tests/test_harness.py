@@ -813,14 +813,38 @@ class TestWriters:
         assert payload[0]["nrmse_theory"] == pytest.approx(0.16561354395046848, rel=1e-15)
         assert list(payload[0]) == list(CSV_HEADER)
 
-    @pytest.mark.parametrize("count", [0, 1, 4, 5])
+    EDGE_ROWS = (
+        SweepRow("snr", -0.0, Scheme.MLE, math.nan, -math.inf, 1, 2**64 - 1),
+        SweepRow("snr", 1e6, Scheme.EIG_SUM, math.inf, 5e-324, 2, 3),
+        SweepRow("epsilon", 0.15, Scheme.EIG_DIFF, 1e16, 1e22, 4, 0),
+        SweepRow("snr", -7.5, Scheme.ORTHOGONAL, 0.1 + 0.2, -0.0, 5, 6),
+        SweepRow("k", 1e22, Scheme.MLE, -0.0, None, 7, 8),
+    )
+
+    @staticmethod
+    def payload(row):
+        """The row as the object ``json.dumps`` takes: fields in CSV order, an
+        integral axis value as an int."""
+        axis_value = row.axis_value
+        if axis_value is not None and float(axis_value).is_integer():
+            axis_value = int(axis_value)
+        return {
+            "axis": row.axis,
+            "axis_value": axis_value,
+            "scheme": row.scheme.value,
+            "nrmse_sim": row.nrmse_sim,
+            "nrmse_theory": row.nrmse_theory,
+            "trials": row.trials,
+            "seed": row.seed,
+        }
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 5, 9])
     def test_json_bytes_equal_indented_dumps(self, count):
-        """The row-at-a-time writer gives the bytes of ``json.dumps(..., indent=2)``."""
-        edge = SweepRow("snr", -0.0, Scheme.MLE, math.nan, -math.inf, 1, 2**64 - 1)
-        rows = (*GOLDEN_ROWS, edge)[:count]
+        """The row template gives the bytes of ``json.dumps(..., indent=2)``."""
+        rows = (*GOLDEN_ROWS, *self.EDGE_ROWS)[:count]
         buf = io.StringIO()
         write_json(rows, buf)
-        assert buf.getvalue() == json.dumps([harness._row_payload(row) for row in rows], indent=2) + "\n"
+        assert buf.getvalue() == json.dumps([self.payload(row) for row in rows], indent=2) + "\n"
 
     def test_json_leaves_no_cyclic_garbage(self):
         gc.collect()

@@ -395,6 +395,30 @@ class TestDrawWishart:
         for out, want in zip(_drawn(cfgs, 40, 7304), expected):
             assert _same_bytes(out, want)
 
+    @pytest.mark.parametrize("chunk", [1, 3 * 40, 2**20])
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    def test_segment_sums_equal_the_user_loop(self, monkeypatch, kind, chunk):
+        """Each g is, bit for bit, a loop adding the phasor rows to +0 in user
+        order, with targets on, inside and past the chunk boundaries."""
+        monkeypatch.setattr(model, "CHUNK_DRAWS", chunk)
+        trials = 40
+        ks = (1, 2, 5, 13, 25, 25)
+        cfgs = [dataclasses.replace(BASE_CFG, k_active=k, cfo=CfoModel(kind, 0.15)) for k in ks]
+        cfgs.append(dataclasses.replace(BASE_CFG, k_active=7, cfo=CfoModel(kind, 0.4)))
+        outs = _drawn(cfgs, trials, 7307)
+        rng = np.random.default_rng(7307)
+        rng.standard_normal(2 * trials)
+        if kind is CfoKind.UNIFORM:
+            unit = rng.uniform(-1.0, 1.0, (25, trials))
+        else:
+            unit = rng.standard_normal((25, trials))
+        for cfg, out in zip(cfgs, outs):
+            scale = cfg.cfo.omega_max / (3.0 if kind is CfoKind.GAUSSIAN else 1.0)
+            total = np.zeros(trials, complex)
+            for phasor in model._unit_phasors(unit[: cfg.k_active], scale):
+                total += phasor
+            assert out.g.tobytes() == total.tobytes()
+
     @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
     def test_antenna_points_share_all_but_gammas(self, kind):
         """Points at different M get the same g and normals from one call; the
