@@ -22,21 +22,21 @@ experiment description, independent of worker count, pass boundaries and
 execution order.  Within a trial, one sample covariance is shared by all
 requested schemes, so the comparison between schemes is paired.
 
-Evaluation: a sweep first checks every point, then numbers the (block,
-point) units of all points in one list, block-major, and evaluates them in
-passes of at most ``PASS_BLOCKS`` units, whole blocks where they fit.
-Within a pass, the points of one block draw once, sized for their largest
-K: an SNR sweep draws each block once, a K sweep forms the phasors of its
-largest K only, and an M sweep forms its phasors once and draws only the
-gammas per M.  The covariance transform, all schemes' counts and the
-squared-error sums run once per pass, over arrays that span several points.
-A pass keeps only its (point, scheme) error sums, so memory does not grow
-with the trial count;
-``collect_estimates``, which returns per-trial counts, is the one caller
-that keeps more.  A pass sums in int64, which ``MAX_POPULATION`` keeps
-exact, and the totals over passes are Python integers, exact at any trial
-count.  With ``workers > 1`` one process pool serves the whole sweep, each
-worker taking a contiguous range of units.
+Evaluation: a sweep first checks every point, then evaluates it in passes.
+A pass is a rectangle of at most ``PASS_BLOCKS`` points by as many whole
+blocks as keep it within ``PASS_BLOCKS`` (block, point) units.  Each block
+of a pass draws once for all the pass's points, sized for their largest K:
+an SNR sweep shares every draw, a K sweep forms the phasors of its largest
+K only, and an M sweep forms its phasors once and draws only the gammas per
+M.  The covariance transform, all schemes' counts and the squared-error
+sums then run once over the (points, trials) layout, and a pass keeps only
+the per-(point, scheme) sums of its (schemes, points, trials) errors, so
+memory does not grow with the trial count; ``collect_estimates``, which
+returns per-trial counts, is the one caller that keeps more.  A pass sums
+in int64, which ``MAX_POPULATION`` keeps exact, and the totals over passes
+are Python integers, exact at any trial count.  With ``workers > 1`` one
+process pool serves the whole sweep, each worker taking a contiguous range
+of blocks for every point.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate, groupby
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Sequence
 
@@ -246,76 +245,72 @@ def _alphas(config: ExperimentConfig) -> list[float]:
     return alphas
 
 
-def _per_trial(values: list, lengths: list[int]):
-    """One value per run of trials: a scalar when all agree, else one entry per trial."""
+def _per_point(values: list):
+    """A scalar when every point agrees, else a (points, 1) column that broadcasts over trials."""
     if values.count(values[0]) == len(values):
         return values[0]
-    return np.repeat(values, lengths)
+    return np.array(values)[:, None]
 
 
 def _evaluate_pass(
-    config: ExperimentConfig, alphas: Sequence[float], first: int, stop: int
+    config: ExperimentConfig, alphas: Sequence[float], points: range, blocks: range
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and squared-error sums of units ``first`` up to ``stop``.
+    """Counts and squared-error sums of ``points`` over the trials of ``blocks``.
 
-    Unit ``u`` is block ``u // P`` of point ``u % P``, for the ``P`` points
-    of ``config``.  The units of one block draw together from one generator,
-    seeded with the master seed and the spawn key ``(block,)``; everything
-    after the draws runs once over the whole pass.  Returns the
-    (schemes, trials) counts in unit order and the (schemes, points) sums of
-    squared count errors.
+    Every block draws all the pass's points at once, into its columns of
+    one record, from one generator seeded with the master seed and the spawn
+    key ``(block,)``; everything after the draws runs once over the
+    (points, trials) rectangle.  Returns the (schemes, points, trials)
+    counts and the (schemes, points) sums of squared count errors.
     """
-    points, trials = config.points, config.trials
-    units = [divmod(u, len(points)) for u in range(first, stop)]
-    lengths = [min(BLOCK, trials - block * BLOCK) for block, _ in units]
-    starts = list(accumulate(lengths, initial=0))
-    draws = model.WishartDraws.empty(starts[-1])
-    for block, members in groupby(range(len(units)), key=lambda i: units[i][0]):
-        members = list(members)
+    cfgs = [config.points[p] for p in points]
+    offset = blocks.start * BLOCK
+    draws = model.WishartDraws.empty(len(cfgs), min(blocks.stop * BLOCK, config.trials) - offset)
+    for block in blocks:
+        start = block * BLOCK
         model.draw_wishart(
-            [points[units[i][1]] for i in members],
+            cfgs,
             np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(block,))),
-            [draws.part(starts[i], starts[i + 1]) for i in members],
+            draws.part(start - offset, min(start + BLOCK, config.trials) - offset),
         )
-
-    covered = [points[p] for _, p in units]
-    k_active = _per_trial([cfg.k_active for cfg in covered], lengths)
-    noise_variance = _per_trial([cfg.noise_variance for cfg in covered], lengths)
-    m_antennas = _per_trial([cfg.m_antennas for cfg in covered], lengths)
+    k_active = _per_point([cfg.k_active for cfg in cfgs])
+    noise_variance = _per_point([cfg.noise_variance for cfg in cfgs])
+    m_antennas = _per_point([cfg.m_antennas for cfg in cfgs])
     cov = model.bartlett_covariance(draws, k_active, m_antennas, noise_variance)
     ctx = EstimatorContext(
         noise_variance=noise_variance,
-        alpha=_per_trial([alphas[p] for _, p in units], lengths),
+        alpha=_per_point([alphas[p] for p in points]),
         # no sweep axis changes the population size
         n_potential=config.base.n_potential,
     )
     counts = estimate_counts(config.schemes, cov, ctx)
     errors = counts - k_active
     errors *= errors
-    sums = np.zeros((len(config.schemes), len(points)), dtype=np.int64)
-    np.add.at(sums, (slice(None), [p for _, p in units]), np.add.reduceat(errors, starts[:-1], axis=1))
-    return counts, sums
+    return counts, errors.sum(axis=-1)
 
 
 def _evaluate_blocks(
-    config: ExperimentConfig, alphas: Sequence[float], first: int, stop: int, keep: bool
+    config: ExperimentConfig, alphas: Sequence[float], blocks: range, keep: bool
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Units ``first`` up to ``stop`` in passes of at most ``PASS_BLOCKS`` units.
+    """Every point over ``blocks``, in passes of at most ``PASS_BLOCKS`` (block, point) units.
 
-    A pass takes whole blocks of all points when they fit, so that no
-    block's draws are split between passes.  Returns the (schemes, points)
-    sums of squared count errors, as Python integers, and, when ``keep`` is
-    set, the counts of every pass in order.
+    A pass is a rectangle: a run of up to ``PASS_BLOCKS`` consecutive points
+    by as many whole blocks as then fit, so that the last, narrower run of a
+    long sweep takes deeper passes.  Returns the (schemes, points) sums of
+    squared count errors, as Python integers, and, when ``keep`` is set, the
+    counts of every pass in order.
     """
-    points = len(config.points)
-    step = PASS_BLOCKS // points * points or PASS_BLOCKS
-    sums = np.zeros((len(config.schemes), points), dtype=object)
+    points = range(len(config.points))
+    sums = np.zeros((len(config.schemes), len(points)), dtype=object)
     kept = []
-    for start in range(first, stop, step):
-        counts, pass_sums = _evaluate_pass(config, alphas, start, min(start + step, stop))
-        sums += pass_sums.astype(object)
-        if keep:
-            kept.append(counts)
+    for lo in range(0, len(points), PASS_BLOCKS):
+        covered = points[lo : lo + PASS_BLOCKS]
+        depth = PASS_BLOCKS // len(covered)
+        for first in range(0, len(blocks), depth):
+            counts, pass_sums = _evaluate_pass(config, alphas, covered, blocks[first : first + depth])
+            sums[:, lo : lo + PASS_BLOCKS] += pass_sums.astype(object)
+            if keep:
+                kept.append(counts)
     return sums, kept
 
 
@@ -331,23 +326,24 @@ def _usable_cpus() -> int:
 def _evaluate(
     config: ExperimentConfig, alphas: Sequence[float], workers: int, keep: bool
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``_evaluate_blocks`` over every unit of ``config``, on at most ``workers`` processes.
+    """``_evaluate_blocks`` over every block of ``config``, on at most ``workers`` processes.
 
-    At most ``min(workers, units, usable CPUs)`` processes run, in one pool,
-    each on a contiguous range of units; one means no pool at all.
+    At most ``min(workers, blocks, usable CPUs)`` processes run, in one pool,
+    each on a contiguous range of blocks for every point; one means no pool
+    at all.
     """
-    units = -(-config.trials // BLOCK) * len(config.points)
+    blocks = -(-config.trials // BLOCK)
     if workers > 1:
-        workers = min(workers, units, _usable_cpus())
+        workers = min(workers, blocks, _usable_cpus())
     if workers <= 1:
-        return _evaluate_blocks(config, alphas, 0, units, keep)
+        return _evaluate_blocks(config, alphas, range(blocks), keep)
     # imported here so that serial runs do not pay for the pool machinery at start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [units * w // workers for w in range(workers + 1)]
+    bounds = [blocks * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_evaluate_blocks, config, alphas, lo, hi, keep)
+            pool.submit(_evaluate_blocks, config, alphas, range(lo, hi), keep)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         parts = [future.result() for future in futures]
@@ -371,7 +367,7 @@ def collect_estimates(
     """
     config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
     _, kept = _evaluate(config, _alphas(config), workers, keep=True)
-    return dict(zip(config.schemes, np.concatenate(kept, axis=1)))
+    return dict(zip(config.schemes, np.concatenate(kept, axis=-1)[:, 0]))
 
 
 def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, ...]:

@@ -133,11 +133,12 @@ class SystemConfig:
 
 
 class WishartDraws(NamedTuple):
-    """Random inputs of the Bartlett sampler for many slots, element i from slot i.
+    """Random inputs of the Bartlett sampler for P configurations over T slots.
 
-    ``g`` is the phasor sum of the slot's K offsets, ``gamma_m`` and
-    ``gamma_m1`` are a11^2 ~ Gamma(M) and a22^2 ~ Gamma(M - 1), and ``re``
-    and ``im`` are the real and imaginary normals behind a21.
+    ``re`` and ``im``, of shape (T,), are the real and imaginary normals
+    behind a21, shared by every configuration.  ``g``, the phasor sum of the
+    slot's K offsets, and ``gamma_m`` and ``gamma_m1``, a11^2 ~ Gamma(M) and
+    a22^2 ~ Gamma(M - 1), have shape (P, T), row i for configuration i.
     """
 
     g: np.ndarray
@@ -147,31 +148,28 @@ class WishartDraws(NamedTuple):
     im: np.ndarray
 
     @classmethod
-    def empty(cls, trials: int) -> "WishartDraws":
-        return cls(np.empty(trials, complex), *(np.empty(trials) for _ in range(4)))
+    def empty(cls, points: int, trials: int) -> "WishartDraws":
+        shape = (points, trials)
+        return cls(np.empty(shape, complex), *map(np.empty, (shape, shape, trials, trials)))
 
     def part(self, start: int, stop: int) -> "WishartDraws":
         """Views of slots ``start`` up to ``stop``; filling them fills this record."""
-        g, gamma_m, gamma_m1, re, im = self
-        return WishartDraws(
-            g[start:stop], gamma_m[start:stop], gamma_m1[start:stop], re[start:stop], im[start:stop]
-        )
+        return WishartDraws(*(a[..., start:stop] for a in self))
 
 
-def draw_wishart(
-    cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs: Sequence[WishartDraws]
-) -> None:
-    """Fill ``outs[i]`` with the random inputs of ``cfgs[i]``, all from one block's stream ``rng``.
+def draw_wishart(cfgs: Sequence[SystemConfig], rng: np.random.Generator, out: WishartDraws) -> None:
+    """Fill row i of ``out`` with the random inputs of ``cfgs[i]``, all from one block's stream ``rng``.
 
-    The configurations share the CFO kind, and the records share their size
-    B; K, M, epsilon and the noise may differ.  Draw order is fixed.  From
-    the generator's state at entry come the 2B normals behind a21 (the real
-    parts, then the imaginary parts) and then the unit offsets, user-major:
+    The configurations share the CFO kind; K, M, epsilon and the noise may
+    differ.  Draw order is fixed, for B slots.  From the generator's state at
+    entry come the 2B normals behind a21 (the real parts, then the imaginary
+    parts), drawn once for all rows, and then the unit offsets, user-major:
     B for user 0, then B for user 1, up to the largest K.  They are
     u ~ U(-1, 1) for uniform CFO and z ~ N(0, 1) for Gaussian CFO, and
     configuration i scales them by its omega_max or omega_max / 3.  The
     gammas, B a11^2 ~ Gamma(M) then B a22^2 ~ Gamma(M - 1), come from that
-    entry state advanced by ``GAMMA_OFFSET`` draws, once per distinct M.  So
+    entry state advanced by ``GAMMA_OFFSET`` draws, once per distinct M,
+    into the first row of that M, which the other rows of that M copy.  So
     every configuration gets exactly the draws it would get alone, only its
     gammas depend on M, and one with K users reads the first K*B offsets.
     Only the phasor sums g are kept.  Each is the sum of its K phasors
@@ -184,31 +182,33 @@ def draw_wishart(
         raise ValueError("configurations that draw together must share the CFO kind")
     bit_generator = rng.bit_generator
     start = bit_generator.state
-    first = outs[0]
     # two calls that consume the stream as one call of 2B would
-    rng.standard_normal(out=first.re)
-    rng.standard_normal(out=first.im)
-    _phasor_sums(cfgs, rng, outs)
-    for out in outs[1:]:
-        out.re[...] = first.re
-        out.im[...] = first.im
-    by_m: dict[int, WishartDraws] = {}
-    for cfg, out in zip(cfgs, outs):
-        drawn = by_m.get(cfg.m_antennas)
-        if drawn is None:
-            by_m[cfg.m_antennas] = out
-            bit_generator.state = start
-            bit_generator.advance(GAMMA_OFFSET)
-            rng.standard_gamma(cfg.m_antennas, out=out.gamma_m)
-            # shape 0 yields exact zeros without consuming the stream
-            rng.standard_gamma(cfg.m_antennas - 1, out=out.gamma_m1)
-        else:
-            out.gamma_m[...] = drawn.gamma_m
-            out.gamma_m1[...] = drawn.gamma_m1
+    rng.standard_normal(out=out.re)
+    rng.standard_normal(out=out.im)
+    _phasor_sums(cfgs, rng, out.g)
+    rows_of: dict[int, list[int]] = {}
+    for row, cfg in enumerate(cfgs):
+        rows_of.setdefault(cfg.m_antennas, []).append(row)
+    for m_antennas, (first, *rest) in rows_of.items():
+        bit_generator.state = start
+        bit_generator.advance(GAMMA_OFFSET)
+        rng.standard_gamma(m_antennas, out=out.gamma_m[first])
+        # shape 0 yields exact zeros without consuming the stream
+        rng.standard_gamma(m_antennas - 1, out=out.gamma_m1[first])
+        if rest:
+            out.gamma_m[_rows(rest)] = out.gamma_m[first]
+            out.gamma_m1[_rows(rest)] = out.gamma_m1[first]
 
 
-def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -> None:
-    """Draw the unit offsets of ``draw_wishart`` and write each configuration's g.
+def _rows(rows: list[int]) -> slice | list[int]:
+    """Ascending ``rows`` as a slice when consecutive, which numpy indexes several times faster."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, g: np.ndarray) -> None:
+    """Draw the unit offsets of ``draw_wishart`` and write row i of ``g`` for ``cfgs[i]``.
 
     The sum at one scale adds the phasor rows from +0 in user order, as a
     loop of ``total += row`` would, but pays per target K, not per user:
@@ -219,19 +219,20 @@ def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -
     drawn and phased ``CHUNK_DRAWS // B`` at a time, carrying the total, so
     transient memory does not grow with K and the result is bit for bit that
     of one chunk.  Phasors are formed once per distinct scale, for the
-    largest K at that scale.
+    largest K at that scale, and all rows that share (scale, K) take their
+    sum in one assignment.
     """
-    trials = outs[0].g.size
+    trials = g.shape[-1]
     gaussian = cfgs[0].cfo.kind is CfoKind.GAUSSIAN
-    # scale -> K -> the g records that take the sum of the first K users
-    wanted: dict[float, dict[int, list[np.ndarray]]] = {}
-    for cfg, out in zip(cfgs, outs):
+    # scale -> K -> the rows of g that take the sum of the first K users
+    wanted: dict[float, dict[int, list[int]]] = {}
+    for row, cfg in enumerate(cfgs):
         scale = cfg.cfo.omega_max / (3.0 if gaussian else 1.0)
         if scale == 0.0 or cfg.k_active == 0:
             # every phasor is exactly 1, so the running sum is exactly K
-            out.g[...] = cfg.k_active
+            g[row] = cfg.k_active
         else:
-            wanted.setdefault(scale, {}).setdefault(cfg.k_active, []).append(out.g)
+            wanted.setdefault(scale, {}).setdefault(cfg.k_active, []).append(row)
     if not wanted:
         return
     users = max(max(targets) for targets in wanted.values())
@@ -258,8 +259,8 @@ def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, outs) -
             for end in (*ends, needed):
                 phasors[first] += total
                 total = phasors[first:end].sum(axis=0)
-                for g in targets.get(lo + end, ()):
-                    g[...] = total
+                if lo + end in targets:
+                    g[_rows(targets[lo + end])] = total
                 first = end
             sums[scale] = total
 

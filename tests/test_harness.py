@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -223,8 +224,8 @@ class TestSharedDraws:
         assert seed_keys(calls) == [(7, (0,)), (7, (1,)), (7, (2,))]
         for cfgs, _, _ in calls:
             assert list(cfgs) == [apply_axis_value(BASE_CFG, axis, v) for v in values]
-        sizes = [[out.g.size for out in outs] for _, _, outs in calls]
-        assert sizes == [[BLOCK] * len(values)] * 2 + [[50] * len(values)]
+        shapes = [out.g.shape for _, _, out in calls]
+        assert shapes == [(len(values), BLOCK)] * 2 + [(len(values), 50)]
 
     def test_antenna_sweep_draws_each_block_once(self, monkeypatch):
         """One call per block covers every M point, repeated M included."""
@@ -233,18 +234,34 @@ class TestSharedDraws:
         run_sweep(small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=values), trials=BLOCK + 9))
         assert seed_keys(calls) == [(7, (0,)), (7, (1,))]
         assert [[cfg.m_antennas for cfg in cfgs] for cfgs, _, _ in calls] == [[1, 2, 8, 2]] * 2
-        assert [[out.g.size for out in outs] for _, _, outs in calls] == [[BLOCK] * 4, [9] * 4]
+        assert [out.g.shape for _, _, out in calls] == [(4, BLOCK), (4, 9)]
 
     def test_rows_equal_at_any_pass_size(self, monkeypatch):
-        """Pass boundaries that split a block's points change no row."""
-        config = small_config(
-            sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(25.0, 5.0, 15.0)),
-            trials=3 * BLOCK + 5,
-        )
-        expected = run_sweep(config)
-        for pass_blocks in (1, 2, 4):
-            monkeypatch.setattr(harness, "PASS_BLOCKS", pass_blocks)
-            assert run_sweep(config) == expected
+        """Every row equals, bit for bit, the one-point run of its configuration,
+        at any pass size, worker count and offset chunk size: pass boundaries
+        that split a block's points or the sweep's points change no row.  Each
+        sweep ends on a short block, and the 35 points of the epsilon sweep do
+        not fill a whole number of 32-point passes."""
+        sweeps = [
+            (SweepAxis.SNR_DB, (-5.0, 20.0, 0.0, 10.0), 2 * BLOCK + 5),
+            (SweepAxis.ACTIVE_USERS, (25.0, 5.0, 15.0, 5.0), 3 * BLOCK + 5),
+            (SweepAxis.EPSILON_MAX, [i / 100 for i in range(35)], BLOCK + 3),
+        ]
+        pools = fake_pool(monkeypatch)
+        limit_cpus(monkeypatch, 64, 64)
+        for axis, values, trials in sweeps:
+            config = small_config(sweep=SweepSpec(axis=axis, values=values), trials=trials)
+            expected = tuple(
+                dataclasses.replace(row, axis=axis.value, axis_value=value)
+                for value, cfg in zip(config.axis_values, config.points)
+                for row in run_sweep(dataclasses.replace(config, base=cfg, sweep=SweepSpec.single_point()))
+            )
+            pools.clear()
+            for pass_blocks, workers, chunk in itertools.product((1, 2, 3, 32), (1, 2), (1, 2**20)):
+                monkeypatch.setattr(harness, "PASS_BLOCKS", pass_blocks)
+                monkeypatch.setattr(model, "CHUNK_DRAWS", chunk)
+                assert run_sweep(config, workers=workers) == expected, (pass_blocks, workers, chunk)
+            assert pools == [2] * 8
 
     def test_antenna_rows_equal_at_any_pass_size_and_workers(self, monkeypatch):
         """An M point drawn apart from the rest of its block, in another pass or
@@ -372,15 +389,28 @@ class TestCollectEstimates:
         assert pools == [2]
 
     def test_sweep_starts_one_pool(self, monkeypatch):
-        """A sweep clamps against its total block count and starts one pool for all
-        points, even when every point fits in one block."""
+        """A sweep clamps against its block count and starts one pool for all
+        points, each worker taking a range of blocks."""
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, 64, 64)
-        config = small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0)))
+        config = small_config(
+            sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0)), trials=2 * BLOCK + 5
+        )
         pooled = run_sweep(config, workers=10_000)
         assert pools == [3]
         assert pooled == run_sweep(config)
         assert pools == [3]
+
+    def test_one_block_sweep_starts_no_pool(self, monkeypatch):
+        """Workers split a sweep by blocks, so a sweep of one block runs serially,
+        however many points and workers it has."""
+        pools = fake_pool(monkeypatch)
+        limit_cpus(monkeypatch, 64, 64)
+        config = small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0)))
+        assert config.trials <= BLOCK
+        pooled = run_sweep(config, workers=10_000)
+        assert pools == []
+        assert pooled == run_sweep(config)
 
     def test_serial_run_skips_cpu_count(self, monkeypatch):
         """A serial run asks neither for the affinity set nor for the cpu count."""
@@ -439,13 +469,13 @@ class TestRunPoint:
             monkeypatch.setitem(estimators._STATISTICS, scheme, recording_statistic)
         draws = record_draws(monkeypatch)
         point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=5)
-        assert [[out.g.size for out in outs] for _, _, outs in draws] == [[BLOCK], [BLOCK], [50]]
+        assert [out.g.shape for _, _, out in draws] == [(1, BLOCK), (1, BLOCK), (1, 50)]
         assert seed_keys(draws) == [(5, (0,)), (5, (1,)), (5, (2,))]
         assert len({id(rng) for _, rng, _ in draws}) == len(draws)
         assert list(read) == list(ALL_SCHEMES)
         assert all(len(calls) == 1 for calls in read.values())
         covs = [calls[0] for calls in read.values()]
-        assert covs[0].r1.shape == (trials,)
+        assert covs[0].r1.shape == (1, trials)
         for cov in covs[1:]:
             assert all(entry is first for entry, first in zip(cov, covs[0]))
 

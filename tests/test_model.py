@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from auesim import model
+from auesim.covariance import CovarianceBlock
 from auesim.estimators import characteristic_function
 from auesim.model import (
     MAX_EPSILON,
@@ -244,10 +245,12 @@ def _ks_config(m, cfo):
 
 def sample_wishart(cfg, trials, rng):
     """Entries of ``trials`` slots of ``cfg`` from ``rng``: one ``draw_wishart``
-    record, then ``bartlett_covariance``, as the simulation runs them."""
-    draws = WishartDraws.empty(trials)
-    draw_wishart((cfg,), rng, (draws,))
-    return bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)
+    record, then ``bartlett_covariance``, as the simulation runs them; the record's
+    one row, flattened."""
+    draws = WishartDraws.empty(1, trials)
+    draw_wishart((cfg,), rng, draws)
+    block = bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)
+    return CovarianceBlock(*(entry.ravel() for entry in block))
 
 
 class TestSampleWishart:
@@ -325,10 +328,10 @@ class TestSampleWishart:
         sizes = [37, 5, 20]
         parts = []
         for i, (cfg, size) in enumerate(zip(cfgs, sizes)):
-            draws = WishartDraws.empty(size)
-            draw_wishart((cfg,), np.random.default_rng(7206 + i), (draws,))
+            draws = WishartDraws.empty(1, size)
+            draw_wishart((cfg,), np.random.default_rng(7206 + i), draws)
             parts.append(draws)
-        joined = WishartDraws(*(np.concatenate(column) for column in zip(*parts)))
+        joined = WishartDraws(*(np.concatenate(column, axis=-1) for column in zip(*parts)))
 
         def per_slot(name):
             return np.repeat([getattr(cfg, name) for cfg in cfgs], sizes)
@@ -340,15 +343,16 @@ class TestSampleWishart:
         for i, (cfg, size) in enumerate(zip(cfgs, sizes)):
             alone = sample_wishart(cfg, size, np.random.default_rng(7206 + i))
             for entry, expected in zip(block, alone):
-                assert entry[start : start + size].tobytes() == expected.tobytes()
+                assert entry.ravel()[start : start + size].tobytes() == expected.tobytes()
             start += size
 
 
 def _drawn(cfgs, trials, seed):
-    """The records ``draw_wishart`` fills for ``cfgs`` from one generator seeded ``seed``."""
-    outs = [WishartDraws.empty(trials) for _ in cfgs]
-    draw_wishart(cfgs, np.random.default_rng(seed), outs)
-    return outs
+    """Per-row views of the record ``draw_wishart`` fills for ``cfgs`` from one
+    generator seeded ``seed``: row i's g and gammas, and the shared normals."""
+    out = WishartDraws.empty(len(cfgs), trials)
+    draw_wishart(cfgs, np.random.default_rng(seed), out)
+    return [WishartDraws(out.g[i], out.gamma_m[i], out.gamma_m1[i], out.re, out.im) for i in range(len(cfgs))]
 
 
 def _same_bytes(a, b):
@@ -424,7 +428,7 @@ class TestDrawWishart:
         """Points at different M get the same g and normals from one call; the
         gammas of each M start 2^64 draws past the block's start."""
         cfgs = [
-            dataclasses.replace(BASE_CFG, m_antennas=m, cfo=CfoModel(kind, 0.15)) for m in (1, 8, 32, 8)
+            dataclasses.replace(BASE_CFG, m_antennas=m, cfo=CfoModel(kind, 0.15)) for m in (1, 8, 32, 8, 1, 8)
         ]
         outs = _drawn(cfgs, 53, 7306)
         for out in outs[1:]:
@@ -490,12 +494,12 @@ class TestUnitPhasors:
         the kernel replaced (measured with stream 0.4.0 and numpy 2.4).  A kernel
         that keeps ten temporaries alive needs about twice as much."""
         cfg = dataclasses.replace(BASE_CFG, k_active=k, cfo=cfo)
-        out = WishartDraws.empty(trials)
-        draw_wishart((cfg,), np.random.default_rng(7410), (out,))
+        out = WishartDraws.empty(1, trials)
+        draw_wishart((cfg,), np.random.default_rng(7410), out)
         rng = np.random.default_rng(7410)
         tracemalloc.start()
         try:
-            draw_wishart((cfg,), rng, (out,))
+            draw_wishart((cfg,), rng, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
