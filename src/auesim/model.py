@@ -196,15 +196,8 @@ def draw_wishart(cfgs: Sequence[SystemConfig], rng: np.random.Generator, out: Wi
         # shape 0 yields exact zeros without consuming the stream
         rng.standard_gamma(m_antennas - 1, out=out.gamma_m1[first])
         if rest:
-            out.gamma_m[_rows(rest)] = out.gamma_m[first]
-            out.gamma_m1[_rows(rest)] = out.gamma_m1[first]
-
-
-def _rows(rows: list[int]) -> slice | list[int]:
-    """Ascending ``rows`` as a slice when consecutive, which numpy indexes several times faster."""
-    if rows[-1] - rows[0] == len(rows) - 1:
-        return slice(rows[0], rows[-1] + 1)
-    return rows
+            out.gamma_m[rest] = out.gamma_m[first]
+            out.gamma_m1[rest] = out.gamma_m1[first]
 
 
 def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, g: np.ndarray) -> None:
@@ -260,7 +253,7 @@ def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, g: np.n
                 phasors[first] += total
                 total = phasors[first:end].sum(axis=0)
                 if lo + end in targets:
-                    g[_rows(targets[lo + end])] = total
+                    g[targets[lo + end]] = total
                 first = end
             sums[scale] = total
 
@@ -339,7 +332,9 @@ def bartlett_covariance(draws: WishartDraws, k_active, m_antennas, noise_varianc
 
     With Sigma as in the module docstring, L = chol(Sigma) and
     A = [[a11, 0], [a21, a22]], X = L A gives M R = X X^H (Goodman 1963).
-    The system parameters are scalars or arrays with one value per slot.
+    The system parameters are scalars or (points, 1) columns.  In ``draws``,
+    g and the gammas have shape (points, slots), and re and im have shape
+    (slots,), shared by every point.
     The block passes ``check_entries`` before it is returned.
     """
     a11 = np.sqrt(draws.gamma_m)
