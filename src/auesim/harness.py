@@ -41,7 +41,6 @@ of blocks for every point.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import functools
@@ -380,6 +379,7 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
     """
     alphas = _alphas(config)
     sums, _ = _evaluate(config, alphas, workers, keep=False)
+    axis, trials, seed = config.sweep.axis.value, config.trials, config.master_seed
     rows: list[SweepRow] = []
     for value, cfg, alpha, point_sums in zip(config.axis_values, config.points, alphas, sums.T):
         theory_value = None
@@ -388,13 +388,13 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
         for scheme, total in zip(config.schemes, point_sums):
             rows.append(
                 SweepRow(
-                    axis=config.sweep.axis.value,
+                    axis=axis,
                     axis_value=value,
                     scheme=scheme,
-                    nrmse_sim=_nrmse_of_sum(int(total), config.trials, cfg.k_active),
+                    nrmse_sim=_nrmse_of_sum(int(total), trials, cfg.k_active),
                     nrmse_theory=theory_value if scheme is Scheme.EIG_SUM else None,
-                    trials=config.trials,
-                    seed=config.master_seed,
+                    trials=trials,
+                    seed=seed,
                 )
             )
     return tuple(rows)
@@ -412,22 +412,30 @@ def _format_axis_value(value: float | None) -> str:
     return str(int(v)) if v.is_integer() else _format_float(v)
 
 
+# one row in CSV_HEADER order; no field needs quoting, since axis and scheme
+# names come from enums and every other field is a formatted number
+_CSV_ROW = "%s,%s,%s,%s,%s,%d,%d\n"
+
+
 def write_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
-    """Write one header line plus one line per result row."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.axis,
-                _format_axis_value(row.axis_value),
-                row.scheme.value,
-                _format_float(row.nrmse_sim),
-                "" if row.nrmse_theory is None else _format_float(row.nrmse_theory),
-                str(row.trials),
-                str(row.seed),
-            ]
+    """Write one header line plus one line per result row, each ending in ``\\n``.
+
+    The bytes are those of ``csv.writer`` with ``lineterminator="\\n"``.
+    """
+    lines = [
+        _CSV_ROW
+        % (
+            row.axis,
+            _format_axis_value(row.axis_value),
+            row.scheme.value,
+            _format_float(row.nrmse_sim),
+            "" if row.nrmse_theory is None else _format_float(row.nrmse_theory),
+            row.trials,
+            row.seed,
         )
+        for row in rows
+    ]
+    stream.write(",".join(CSV_HEADER) + "\n" + "".join(lines))
 
 
 # ``json.dumps`` spells the non-finite floats so, and every other float as its repr

@@ -1,5 +1,8 @@
 """Tests for the command line front end."""
 
+import argparse
+import contextlib
+import copy
 import csv
 import errno
 import importlib
@@ -7,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,10 +18,13 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import auesim.cli
-from auesim.cli import build_parser, main
-from auesim.harness import BLOCK, CSV_HEADER, DEFAULT_TRIALS
+from auesim.cli import OPTIONS, SWEEP_OPTIONS, main, parse_args
+from auesim.harness import BLOCK, CSV_HEADER, DEFAULT_TRIALS, SweepAxis
+from auesim.model import CfoKind
 
 
 def read_csv(text):
@@ -30,49 +37,196 @@ def child_env(**overrides):
     return dict(os.environ, PYTHONPATH=str(src), **overrides)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its option table: the oracle of
+    ``parse_args``.  The scheme and value converters are the CLI's own."""
+    parser = argparse.ArgumentParser(
+        prog="auesim",
+        description="Monte Carlo NRMSE of covariance-based active-user counting schemes.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    system = common.add_argument_group("system")
+    system.add_argument("--n", type=_positive_int, default=100, help="population size (default 100)")
+    system.add_argument("--k", type=_positive_int, default=25, help="active users (default 25)")
+    system.add_argument("--m", type=_positive_int, default=32, help="receive antennas (default 32)")
+    system.add_argument("--snr-db", type=float, default=10.0, help="per-user SNR in dB (default 10)")
+    system.add_argument(
+        "--eps-max", type=float, default=0.15, help="worst-case normalized CFO (default 0.15)"
+    )
+    system.add_argument(
+        "--cfo",
+        choices=[kind.value for kind in CfoKind],
+        default=CfoKind.UNIFORM.value,
+        help="CFO distribution (default uniform); --eps-max 0 disables offsets",
+    )
+    runner = common.add_argument_group("experiment")
+    runner.add_argument(
+        "--schemes",
+        type=auesim.cli._parse_schemes,
+        default=auesim.cli._parse_schemes("eig-sum,eig-diff,orthogonal,mle"),
+        help="comma list of schemes",
+    )
+    runner.add_argument(
+        "--trials", type=_positive_int, default=DEFAULT_TRIALS,
+        help=f"Monte Carlo trials per point (default {DEFAULT_TRIALS})",
+    )
+    runner.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    runner.add_argument(
+        "--theory", action="store_true", help="attach the closed-form eig-sum NRMSE column"
+    )
+    runner.add_argument(
+        "--workers", type=_positive_int, default=1,
+        help="worker processes (default 1; results do not depend on this)",
+    )
+    output = common.add_argument_group("output")
+    output.add_argument("--out", default="-", help="output path, '-' for stdout (default)")
+    output.add_argument("--format", choices=["csv", "json"], default="csv", help="output format")
+
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser("run", parents=[common], help="simulate the base configuration")
+    sweep = commands.add_parser("sweep", parents=[common], help="vary one axis over a value list")
+    sweep.add_argument(
+        "--axis",
+        choices=[a.value for a in SweepAxis if a is not SweepAxis.NONE],
+        required=True,
+        help="system parameter to sweep",
+    )
+    sweep.add_argument(
+        "--values", type=auesim.cli._parse_values, required=True, help="comma list of axis values"
+    )
+    return parser
+
+
+def oracle_args(argv):
+    """The oracle's values of ``argv`` by destination, or None where it exits 2."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+        return None
+
+
+def table_args(argv):
+    """``parse_args``'s values of ``argv``, or None where it rejects them."""
+    try:
+        return parse_args(argv)
+    except ValueError:
+        return None
+
+
+def spelled(values):
+    """Values compared by repr, so that NaN equals NaN and -0.0 differs from 0.0."""
+    return None if values is None else {key: repr(value) for key, value in values.items()}
+
+
+# argparse reads an argument that starts with '-' as an option, not as the
+# value of the option before it, unless it is '-' alone or one of these
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+_JUNK = st.sampled_from(["x", "", "1e", "0x10", "1,,2"])
+_COUNTS = st.integers(1, 400).map(str) | st.sampled_from([" 7 ", "+3", "1_0", "\u0663"])
+_FLOATS = st.floats().map(repr) | st.sampled_from(["1e3", "-5", "-.5", "inf", " 2 ", "1_0.5"])
+_SCHEME_LISTS = st.lists(
+    st.sampled_from(["eig-sum", "eig_diff", "ORTHOGONAL", " mle "]), min_size=1, max_size=4, unique=True
+).map(",".join)
+_PATHS = st.sampled_from(["-", "", "out.csv", "a=b", "-x", "--k", "- x"])
+_COUNT_TEXTS = (_COUNTS, _JUNK | st.integers(-3, 0).map(str))
+# the valid and the invalid values of each option
+_VALUES = {
+    "n": _COUNT_TEXTS,
+    "k": _COUNT_TEXTS,
+    "m": _COUNT_TEXTS,
+    "snr_db": (_FLOATS, _JUNK),
+    "eps_max": (_FLOATS, _JUNK),
+    "cfo": (st.sampled_from(["uniform", "gaussian"]), st.sampled_from(["Uniform", "bogus", ""])),
+    "schemes": (_SCHEME_LISTS, st.sampled_from(["bogus", "", "mle,MLE", "eig-sum,,mle"])),
+    "trials": _COUNT_TEXTS,
+    "seed": (st.integers(-5, 2**70).map(str), _JUNK),
+    "theory": (st.none(), st.sampled_from(["", "x"])),  # None: the switch alone
+    "workers": _COUNT_TEXTS,
+    "out": (_PATHS, _PATHS),  # every path parses; one that cannot be opened fails later
+    "format": (st.sampled_from(["csv", "json"]), st.sampled_from(["xml", "CSV"])),
+    "axis": (st.sampled_from(["epsilon", "m", "snr", "k"]), st.sampled_from(["none", "K", ""])),
+    "values": (st.lists(_FLOATS, min_size=1, max_size=4).map(",".join), _JUNK),
+}
+
+
+@st.composite
+def argument_lists(draw):
+    """A run or sweep argument list: any options of the command's table, in any
+    order, repeated or not, each spelled in full or as a prefix, with its value
+    as ``--opt=value`` or as the next argument, valid or invalid; and at times a
+    stray argument, such as a sweep option given to run."""
+    command = draw(st.sampled_from(["run", "sweep"]))
+    table = OPTIONS if command == "run" else (*OPTIONS, *SWEEP_OPTIONS)
+    options = draw(st.lists(st.sampled_from(table), max_size=6))
+    if command == "sweep" and draw(st.integers(0, 3)):
+        options += SWEEP_OPTIONS
+    argv = [command]
+    for opt in draw(st.permutations(options)):
+        name = draw(st.sampled_from([opt.flag] * 3 + [opt.flag[:cut] for cut in range(3, len(opt.flag))]))
+        valid, invalid = _VALUES[opt.dest]
+        text = draw(invalid if draw(st.sampled_from([False] * 9 + [True])) else valid)
+        if opt.convert is None:
+            argv.append(name if text is None else f"{name}={text}")
+        # documented difference: parse_args reads any next argument as the value
+        elif draw(st.booleans()) and (text == "-" or not text.startswith("-") or NEGATIVE_NUMBER.match(text)):
+            argv += [name, text]
+        else:
+            argv.append(f"{name}={text}")
+    stray = draw(st.sampled_from([None] * 40 + ["x", "5", "-x", "--", "--bogus", "--axis=m", "--va=1"]))
+    if stray is not None:
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
 class TestParserDefaults:
     def test_run_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.n == 100
-        assert args.k == 25
-        assert args.m == 32
-        assert args.snr_db == 10.0
-        assert args.eps_max == 0.15
-        assert args.cfo == "uniform"
-        assert [s.value for s in args.schemes] == ["eig-sum", "eig-diff", "orthogonal", "mle"]
-        assert args.trials == DEFAULT_TRIALS
-        assert args.seed == 0
-        assert args.theory is False
-        assert args.out == "-"
-        assert args.format == "csv"
-        assert args.workers == 1
+        args = parse_args(["run"])
+        assert args["n"] == 100
+        assert args["k"] == 25
+        assert args["m"] == 32
+        assert args["snr_db"] == 10.0
+        assert args["eps_max"] == 0.15
+        assert args["cfo"] == "uniform"
+        assert [s.value for s in args["schemes"]] == ["eig-sum", "eig-diff", "orthogonal", "mle"]
+        assert args["trials"] == DEFAULT_TRIALS
+        assert args["seed"] == 0
+        assert args["theory"] is False
+        assert args["out"] == "-"
+        assert args["format"] == "csv"
+        assert args["workers"] == 1
 
-    def test_main_builds_one_parser_and_keeps_it_unchanged(self, monkeypatch, capsys):
-        built = []
-        real_build = auesim.cli.build_parser
-
-        def counting_build():
-            built.append(1)
-            return real_build()
-
-        monkeypatch.setattr(auesim.cli, "build_parser", counting_build)
-        auesim.cli._parser.cache_clear()
-        try:
-            argv = ["run", "--trials", "3", "--k", "2", "--schemes", "mle", "--seed", "4"]
-            assert main(argv) == 0
-            first = capsys.readouterr().out
-            assert main(["run", "--trials", "3", "--schemes", "mle"]) == 0
-            assert main(argv) == 0
-            assert capsys.readouterr().out.endswith(first)
-            assert len(built) == 1
-            defaults = vars(auesim.cli._parser().parse_args(["run"]))
-            assert defaults == vars(real_build().parse_args(["run"]))
-        finally:
-            auesim.cli._parser.cache_clear()
+    def test_parsing_leaves_the_table_unchanged(self, capsys):
+        tables = copy.deepcopy((OPTIONS, SWEEP_OPTIONS))
+        defaults = {"run": parse_args(["run"]), "sweep": parse_args(["sweep", "--axis=m", "--values=1"])}
+        parse_args(["run"])["k"] = 0
+        argv = ["run", "--trials", "3", "--k", "2", "--schemes", "mle", "--seed", "4", "--theory"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(["run", "--trials", "3", "--schemes", "mle"]) == 0
+        assert parse_args(["sweep", "--axis", "k", "--values", "1,2", "--n=5", "--format", "json"])
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(first)
+        assert (OPTIONS, SWEEP_OPTIONS) == tables
+        assert parse_args(["run"]) == defaults["run"] == oracle_args(["run"])
+        assert parse_args(["sweep", "--axis=m", "--values=1"]) == defaults["sweep"]
+        assert defaults["sweep"] == oracle_args(["sweep", "--axis=m", "--values=1"])
 
     def test_scheme_names_accept_underscores(self):
-        args = build_parser().parse_args(["run", "--schemes", "eig_sum,MLE"])
-        assert [s.value for s in args.schemes] == ["eig-sum", "mle"]
+        args = parse_args(["run", "--schemes", "eig_sum,MLE"])
+        assert [s.value for s in args["schemes"]] == ["eig-sum", "mle"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -88,10 +242,89 @@ class TestParserDefaults:
             ["sweep", "--axis", "m", "--values", "a,b"],
         ],
     )
-    def test_bad_arguments_exit_2(self, argv):
-        with pytest.raises(SystemExit) as err:
-            build_parser().parse_args(argv)
-        assert err.value.code == 2
+    def test_bad_arguments_exit_2(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(auesim.cli, "run_sweep", pytest.fail)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert oracle_args(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["--k", "5", "run"], ["run", "extra"], ["run", "run"], ["run", "--"],
+         ["run", "--s", "3"], ["run", "--axis", "m"], ["run", "--theory=1"], ["run", "--k"],
+         ["run", "-k", "5"], ["--help=x"], ["run", "--help=x"]],
+        ids=repr,
+    )
+    def test_malformed_argument_lists_exit_2(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(auesim.cli, "run_sweep", pytest.fail)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert oracle_args(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv,dest,value",
+        [
+            (["run", "--tri", "7"], "trials", 7),
+            (["run", "--tri=7"], "trials", 7),
+            (["run", "--th"], "theory", True),
+            (["run", "--w=2", "--w", "3"], "workers", 3),
+            (["sweep", "--va", "1", "--ax", "m"], "values", (1.0,)),
+            (["run", "--snr-db", "-5"], "snr_db", -5.0),
+            (["run", "--out=a=b"], "out", "a=b"),
+            (["run", "--out", ""], "out", ""),
+        ],
+    )
+    def test_prefixes_and_value_forms(self, argv, dest, value):
+        """A unique prefix names its option, and the last of a repeated option wins, as with argparse."""
+        assert parse_args(argv)[dest] == value
+        assert oracle_args(argv)[dest] == value
+
+    @pytest.mark.parametrize(
+        "argv,dest,value",
+        [
+            (["sweep", "--axis", "snr", "--values", "-10,-5"], "values", (-10.0, -5.0)),
+            (["run", "--snr-db", "-1e1"], "snr_db", -10.0),
+            (["run", "--out", "-x.csv"], "out", "-x.csv"),
+            (["run", "--out", "--k"], "out", "--k"),
+        ],
+    )
+    def test_value_may_start_with_a_dash(self, argv, dest, value):
+        """Documented difference: the argument after an option is its value,
+        whatever it starts with; argparse read these as options and exited 2."""
+        assert parse_args(argv)[dest] == value
+        assert oracle_args(argv) is None
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(argument_lists())
+    def test_parse_args_agrees_with_argparse(self, argv):
+        """Any argument list of the option grammar parses to the oracle's values,
+        or both reject it.  Excluded, as documented differences: a value that
+        starts with '-' given as its own argument (other than '-' and negative
+        numbers), which argparse rejects, and -h/--help, which parse_args reads
+        before any argument that follows it, so an unknown argument before it is
+        an error and one after it is not read."""
+        assert spelled(table_args(argv)) == spelled(oracle_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["--he"], ["run", "-h"], ["sweep", "--help"], ["sweep", "--h"],
+         ["run", "--k", "3", "-h", "--k", "0"]],
+        ids=repr,
+    )
+    def test_help_exits_0_and_names_every_option(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(auesim.cli, "run_sweep", pytest.fail)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        flags = {opt.flag for opt in (*OPTIONS, *SWEEP_OPTIONS)}
+        oracle = build_parser()._subparsers._group_actions[0].choices
+        assert flags == {flag for sub in oracle.values() for action in sub._actions
+                         for flag in action.option_strings if flag not in ("-h", "--help")}
+        assert all(flag in captured.out for flag in (*flags, "--help", "run", "sweep"))
 
 
 class TestRunCommand:
@@ -396,6 +629,18 @@ class TestExitCodes:
         assert not fresh.exists()
         capsys.readouterr()
 
+    def test_file_created_by_another_process_keeps_its_bytes(self, tmp_path, monkeypatch, capsys):
+        """A file that appears after a check for an existing --out and before its
+        open is not this call's, and a failing exit must leave it.  Reporting the
+        existing file as missing makes that race happen on every run."""
+        out = tmp_path / "point.csv"
+        out.write_bytes(b"earlier results\n")
+        monkeypatch.setattr(os.path, "lexists", lambda path: False)
+        argv = ["run", "--eps-max", "0.5", "--schemes", "eig-diff", "--trials", "5", "--out", str(out)]
+        assert main(argv) == 3
+        assert out.read_bytes() == b"earlier results\n"
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_domain_error_exits_3(self, capsys):
         code = main(["run", "--eps-max", "0.5", "--schemes", "eig-diff", "--trials", "5"])
         assert code == 3
@@ -460,14 +705,16 @@ class TestEntryPoints:
 
     def test_serial_run_loads_no_pool_machinery(self):
         """The process pool is imported only when one starts: importing the CLI and a
-        serial run leave concurrent.futures unloaded.  No production module loads
-        the reference code, and none keeps a name that moved there or was deleted."""
+        serial run leave concurrent.futures unloaded, and argparse and csv are not
+        loaded at all.  No production module loads the reference code, and none
+        keeps a name that moved there or was deleted."""
         code = (
             "import os, sys\n"
             "import auesim.cli\n"
-            "loaded = ['concurrent.futures' in sys.modules]\n"
+            "unused = ('concurrent.futures', 'argparse', 'csv')\n"
+            "loaded = [name in sys.modules for name in unused]\n"
             "auesim.cli.main(['run', '--trials', '300', '--out', os.devnull])\n"
-            "loaded.append('concurrent.futures' in sys.modules)\n"
+            "loaded += [name in sys.modules for name in unused]\n"
             "from auesim import cli, covariance, estimators, harness, model, theory\n"
             "loaded.append('auesim.reference' in sys.modules)\n"
             "print(loaded)\n"
@@ -479,7 +726,7 @@ class TestEntryPoints:
             env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False, False]"
+        assert proc.stdout.strip() == str([False] * 7)
         gone = {
             "model": ("sample_wishart",),
             "model.SystemConfig": ("snr_db",),

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo runner, sweep plumbing, and output writers."""
 
 import concurrent.futures
+import csv
 import dataclasses
 import gc
 import io
@@ -875,6 +876,21 @@ class TestWriters:
         buf = io.StringIO()
         write_json(rows, buf)
         assert buf.getvalue() == json.dumps([self.payload(row) for row in rows], indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 5, 9])
+    def test_csv_bytes_equal_csv_writer(self, count):
+        """The row template gives the bytes of ``csv.writer``, which wrote the rows before it."""
+        rows = (*GOLDEN_ROWS, *self.EDGE_ROWS)[:count]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in rows:
+            theory = "" if row.nrmse_theory is None else format(row.nrmse_theory, "#.9g")
+            writer.writerow([row.axis, harness._format_axis_value(row.axis_value), row.scheme.value,
+                             format(row.nrmse_sim, "#.9g"), theory, str(row.trials), str(row.seed)])
+        buf = io.StringIO()
+        write_csv(rows, buf)
+        assert buf.getvalue() == expected.getvalue()
 
     def test_json_leaves_no_cyclic_garbage(self):
         gc.collect()
