@@ -252,9 +252,10 @@ def _open_for_writing(path: str) -> tuple[int, bool]:
         return os.open(path, flags, 0o666), False
 
 
-def _write_output(text: str, fd: int | None) -> None:
+def _write_output(text: str, fd: int | None, created: bool) -> None:
     """Write ``text`` to stdout (``fd`` None) or to the file ``fd``, and cut a
-    regular file to the written length; devices and pipes are not cut."""
+    regular file that was already there to the written length; a file this
+    call ``created`` is empty, and devices and pipes are not cut."""
     if fd is None:
         sys.stdout.write(text)
         # flushed here, so that a failed write of a short output is caught too
@@ -264,7 +265,7 @@ def _write_output(text: str, fd: int | None) -> None:
     written = 0
     while written < len(data):
         written += os.write(fd, data[written:])
-    if stat.S_ISREG(os.fstat(fd).st_mode):
+    if not created and stat.S_ISREG(os.fstat(fd).st_mode):
         os.ftruncate(fd, written)
 
 
@@ -290,7 +291,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             buffer = io.StringIO()
             (write_csv if args["format"] == "csv" else write_json)(rows, buffer)
-            _write_output(buffer.getvalue(), fd)
+            _write_output(buffer.getvalue(), fd, created)
             if fd is not None:
                 # closed here, so that a failed close is reported; on every
                 # other path the finally clause closes it

@@ -66,14 +66,26 @@ class EstimatorContext:
     n_potential: int
 
     def __post_init__(self) -> None:
-        noise = np.asarray(self.noise_variance)
-        if not np.all(np.isfinite(noise) & (noise >= 0.0)):
+        noise_low, noise_high = _extremes(self.noise_variance)
+        if not (noise_low >= 0.0 and noise_high < math.inf):
             raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance}")
-        alpha = np.asarray(self.alpha)
-        if not np.all((-1.0 <= alpha) & (alpha <= 1.0)):
+        alpha_low, alpha_high = _extremes(self.alpha)
+        if not (alpha_low >= -1.0 and alpha_high <= 1.0):
             raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
         if self.n_potential < 1:
             raise ValueError(f"n_potential must be >= 1, got {self.n_potential}")
+
+
+def _extremes(value) -> tuple:
+    """The smallest and largest of ``value``'s elements, NaN if there is one;
+    a Python or numpy float is its own extremes, with no array round trip."""
+    if isinstance(value, (int, float)):
+        return value, value
+    values = np.asarray(value)
+    return (
+        np.minimum.reduce(values, axis=None, initial=math.inf),
+        np.maximum.reduce(values, axis=None, initial=-math.inf),
+    )
 
 
 def characteristic_function(cfo: CfoModel) -> float:
@@ -92,19 +104,20 @@ def characteristic_function(cfo: CfoModel) -> float:
 
 
 def _clamped_counts(values: np.ndarray, n_potential: int) -> np.ndarray:
-    """Round half away from zero, then clamp to [0, n_potential], elementwise."""
-    if np.isnan(values).any():
+    """Round half away from zero, then clamp to [0, n_potential], elementwise.
+
+    floor(x) + (x - floor(x) >= 0.5) rounds half up, which parts from half
+    away from zero only below zero, where the clamp takes both to 0.  Above
+    zero, x - floor(x) is exact, whereas x + 0.5 rounds 0.49999999999999994 up
+    to 1; round() and np.rint tie to even, which would bias counts at exact
+    .5 values.  A NaN survives to the clamp's maximum, and raises there.
+    """
+    whole = np.floor(values)
+    whole += values - whole >= 0.5
+    whole.clip(0, n_potential, out=whole)
+    if math.isnan(np.maximum.reduce(whole, axis=None, initial=0.0)):
         raise ValueError("statistic is NaN; cannot round it to a count")
-    whole = np.trunc(values)
-    # x - trunc(x) is exact, whereas x + 0.5 rounds 0.49999999999999994 up to 1;
-    # round() and np.rint tie to even, which would bias counts at exact .5 values;
-    # the steps run in place to keep a large block's temporaries few
-    step = np.abs(values - whole)
-    up = step >= 0.5
-    np.sign(values, out=step)
-    step *= up
-    whole += step
-    return np.clip(whole, 0, n_potential, out=whole).astype(np.int64)
+    return whole.astype(np.int64)
 
 
 def _require_alpha(alpha) -> None:

@@ -25,11 +25,13 @@ requested schemes, so the comparison between schemes is paired.
 Evaluation: a sweep first checks every point, then evaluates it in passes.
 A pass is a rectangle of at most ``PASS_BLOCKS`` points by as many whole
 blocks as keep it within ``PASS_BLOCKS`` (block, point) units.  Each block
-of a pass draws once for all the pass's points, sized for their largest K:
-an SNR sweep shares every draw, a K sweep forms the phasors of its largest
-K only, and an M sweep forms its phasors once and draws only the gammas per
-M.  The covariance transform, all schemes' counts and the squared-error
-sums then run once over the (points, trials) layout, and a pass keeps only
+of a pass draws once for all the pass's points, sized for their largest K,
+into its columns of one record, and the phasors of blocks with few users
+are formed for several blocks at once: an SNR sweep shares every draw, a K
+sweep forms the phasors of its largest K only, and an M sweep forms its
+phasors once and draws only the gammas per M.  The covariance transform,
+all schemes' counts and the squared-error sums then run once over the
+(points, trials) layout, and a pass keeps only
 the per-(point, scheme) sums of its (schemes, points, trials) errors, so
 memory does not grow with the trial count; ``collect_estimates``, which
 returns per-trial counts, is the one caller that keeps more.  A pass sums
@@ -41,14 +43,13 @@ of blocks for every point.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from .estimators import (
     check_domain,
     estimate_counts,
 )
-from .model import SystemConfig
+from .model import CfoModel, SystemConfig
 from .theory import nrmse_eig_sum_theory
 
 DEFAULT_TRIALS = 20_000
@@ -210,14 +211,17 @@ def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -
         return base
     if value is None:
         raise ValueError(f"axis '{axis.value}' needs a value")
+    # built field by field; the configuration checks the point as it is made
+    k_active, m_antennas, noise_variance, cfo = base.k_active, base.m_antennas, base.noise_variance, base.cfo
     if axis is SweepAxis.EPSILON_MAX:
-        cfo = dataclasses.replace(base.cfo, epsilon_max=float(value))
-        return dataclasses.replace(base, cfo=cfo)
-    if axis is SweepAxis.ANTENNAS:
-        return dataclasses.replace(base, m_antennas=int(value))
-    if axis is SweepAxis.SNR_DB:
-        return dataclasses.replace(base, noise_variance=snr_db_to_noise_variance(float(value)))
-    return dataclasses.replace(base, k_active=int(value))
+        cfo = CfoModel(cfo.kind, float(value))
+    elif axis is SweepAxis.ANTENNAS:
+        m_antennas = int(value)
+    elif axis is SweepAxis.SNR_DB:
+        noise_variance = snr_db_to_noise_variance(float(value))
+    else:
+        k_active = int(value)
+    return SystemConfig(base.n_potential, k_active, m_antennas, noise_variance, cfo)
 
 
 def _nrmse_of_sum(squared_sum: int, trials: int, k_true: int) -> float:
@@ -258,20 +262,16 @@ def _evaluate_pass(
 
     Every block draws all the pass's points at once, into its columns of
     one record, from one generator seeded with the master seed and the spawn
-    key ``(block,)``; everything after the draws runs once over the
+    key ``(block,)``; one ``draw_wishart`` call takes the generators of all
+    the pass's blocks, and everything after the draws runs once over the
     (points, trials) rectangle.  Returns the (schemes, points, trials)
     counts and the (schemes, points) sums of squared count errors.
     """
     cfgs = [config.points[p] for p in points]
     offset = blocks.start * BLOCK
     draws = model.WishartDraws.empty(len(cfgs), min(blocks.stop * BLOCK, config.trials) - offset)
-    for block in blocks:
-        start = block * BLOCK
-        model.draw_wishart(
-            cfgs,
-            np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(block,))),
-            draws.part(start - offset, min(start + BLOCK, config.trials) - offset),
-        )
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(b,))) for b in blocks]
+    model.draw_wishart(cfgs, rngs, draws, BLOCK)
     k_active = _per_point([cfg.k_active for cfg in cfgs])
     noise_variance = _per_point([cfg.noise_variance for cfg in cfgs])
     m_antennas = _per_point([cfg.m_antennas for cfg in cfgs])
@@ -381,22 +381,16 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
     sums, _ = _evaluate(config, alphas, workers, keep=False)
     axis, trials, seed = config.sweep.axis.value, config.trials, config.master_seed
     rows: list[SweepRow] = []
-    for value, cfg, alpha, point_sums in zip(config.axis_values, config.points, alphas, sums.T):
+    # the sums are Python integers already; tolist hands them over without a numpy round trip
+    for value, cfg, alpha, point_sums in zip(config.axis_values, config.points, alphas, sums.T.tolist()):
         theory_value = None
         if config.emit_theory:
             theory_value = nrmse_eig_sum_theory(cfg.k_active, cfg.m_antennas, cfg.noise_variance, alpha)
         for scheme, total in zip(config.schemes, point_sums):
-            rows.append(
-                SweepRow(
-                    axis=axis,
-                    axis_value=value,
-                    scheme=scheme,
-                    nrmse_sim=_nrmse_of_sum(int(total), trials, cfg.k_active),
-                    nrmse_theory=theory_value if scheme is Scheme.EIG_SUM else None,
-                    trials=trials,
-                    seed=seed,
-                )
-            )
+            theory = theory_value if scheme is Scheme.EIG_SUM else None
+            nrmse_sim = _nrmse_of_sum(total, trials, cfg.k_active)
+            # positional, in the order of SweepRow's fields
+            rows.append(SweepRow(axis, value, scheme, nrmse_sim, theory, trials, seed))
     return tuple(rows)
 
 
@@ -412,41 +406,48 @@ def _format_axis_value(value: float | None) -> str:
     return str(int(v)) if v.is_integer() else _format_float(v)
 
 
-# one row in CSV_HEADER order; no field needs quoting, since axis and scheme
-# names come from enums and every other field is a formatted number
-_CSV_ROW = "%s,%s,%s,%s,%s,%d,%d\n"
+def _with_shared_fields(
+    rows: Iterable[SweepRow], point_text: Callable[[str, float | None], str], run_text: str
+) -> Iterator[tuple[SweepRow, str, str]]:
+    """Each row with the text of the fields its point shares, axis and axis
+    value, from ``point_text(axis, axis_value)``, and of those its run shares,
+    ``run_text % (trials, seed)``; each text is formatted once, not per row."""
+    points: dict[tuple, str] = {}
+    runs: dict[tuple, str] = {}
+    for row in rows:
+        point, run = (row.axis, row.axis_value), (row.trials, row.seed)
+        head = points.get(point)
+        if head is None:
+            head = points[point] = point_text(*point)
+        tail = runs.get(run)
+        if tail is None:
+            tail = runs[run] = run_text % run
+        yield row, head, tail
+
+
+def _csv_point(axis: str, axis_value: float | None) -> str:
+    return f"{axis},{_format_axis_value(axis_value)},"
 
 
 def write_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     """Write one header line plus one line per result row, each ending in ``\\n``.
 
-    The bytes are those of ``csv.writer`` with ``lineterminator="\\n"``.
+    The bytes are those of ``csv.writer`` with ``lineterminator="\\n"``; no
+    field needs quoting, since axis and scheme names come from enums and
+    every other field is a formatted number.
     """
-    lines = [
-        _CSV_ROW
-        % (
-            row.axis,
-            _format_axis_value(row.axis_value),
-            row.scheme.value,
-            _format_float(row.nrmse_sim),
-            "" if row.nrmse_theory is None else _format_float(row.nrmse_theory),
-            row.trials,
-            row.seed,
-        )
-        for row in rows
-    ]
-    stream.write(",".join(CSV_HEADER) + "\n" + "".join(lines))
+    lines = [",".join(CSV_HEADER) + "\n"]
+    for row, head, tail in _with_shared_fields(rows, _csv_point, ",%d,%d\n"):
+        theory = "" if row.nrmse_theory is None else _format_float(row.nrmse_theory)
+        lines.append(f"{head}{row.scheme.value},{_format_float(row.nrmse_sim)},{theory}{tail}")
+    stream.write("".join(lines))
 
 
 # ``json.dumps`` spells the non-finite floats so, and every other float as its repr
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# one row at the indent of ``json.dumps(rows, indent=2)``; axis and scheme are
-# already JSON strings, quoted and escaped
-_JSON_ROW = (
-    '  {\n    "axis": %s,\n    "axis_value": %s,\n    "scheme": %s,\n    "nrmse_sim": %s,\n'
-    '    "nrmse_theory": %s,\n    "trials": %d,\n    "seed": %d\n  }'
-)
+# each scheme name as a JSON string, quoted and escaped
+_JSON_SCHEME = {scheme: encode_basestring_ascii(scheme.value) for scheme in Scheme}
 
 
 def _json_float(x: float) -> str:
@@ -461,6 +462,14 @@ def _json_axis_value(value: float | None) -> str:
     return str(int(v)) if v.is_integer() else _json_float(v)
 
 
+def _json_point(axis: str, axis_value: float | None) -> str:
+    # the start of an object at the indent of ``json.dumps(rows, indent=2)``
+    return '  {\n    "axis": %s,\n    "axis_value": %s,\n    "scheme": ' % (
+        encode_basestring_ascii(axis),
+        _json_axis_value(axis_value),
+    )
+
+
 def write_json(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     """Write the rows as a JSON array of objects, one object per result row.
 
@@ -468,17 +477,11 @@ def write_json(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     per row, with the fields in ``CSV_HEADER`` order, an integral axis value
     as an integer and a missing one as null.
     """
-    objects = [
-        _JSON_ROW
-        % (
-            encode_basestring_ascii(row.axis),
-            _json_axis_value(row.axis_value),
-            encode_basestring_ascii(row.scheme.value),
-            _json_float(row.nrmse_sim),
-            "null" if row.nrmse_theory is None else _json_float(row.nrmse_theory),
-            row.trials,
-            row.seed,
+    objects = []
+    for row, head, tail in _with_shared_fields(rows, _json_point, '\n    "trials": %d,\n    "seed": %d\n  }'):
+        theory = "null" if row.nrmse_theory is None else _json_float(row.nrmse_theory)
+        objects.append(
+            f'{head}{_JSON_SCHEME[row.scheme]},\n    "nrmse_sim": {_json_float(row.nrmse_sim)},\n'
+            f'    "nrmse_theory": {theory},{tail}'
         )
-        for row in rows
-    ]
     stream.write("[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n")

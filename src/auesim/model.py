@@ -17,12 +17,13 @@ Given the offsets, the M columns of Y are i.i.d. CN(0, Sigma) with
 
 so M R = Y Y^H is a 2 x 2 complex Wishart matrix CW_2(M, Sigma), which the
 complex Bartlett decomposition draws directly in O(K) per trial.  The
-simulation runs it in two halves: ``draw_wishart`` once per seeded block for
-all the configurations of that block, and ``bartlett_covariance`` once over
-many blocks.  The phasors e^{j omega_n} come from a table of the unit circle
-and a short Taylor step (``_unit_phasors``), within a few ulps of ``np.exp``.
-Y itself is synthesised only by the direct model in ``auesim.reference``,
-which the tests check this sampler's law against.
+simulation runs it in two halves: ``draw_wishart`` once over the seeded
+blocks of a pass for all the configurations of the pass, and
+``bartlett_covariance`` once over the whole record it fills.  The phasors
+e^{j omega_n} come from a table of the unit circle and a short Taylor step
+(``_unit_phasors``), within a few ulps of ``np.exp``.  Y itself is
+synthesised only by the direct model in ``auesim.reference``, which the
+tests check this sampler's law against.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ _SQRT2 = math.sqrt(2.0)
 # unit offsets drawn and phased at a time per block; bounds the transient
 # memory of a block without changing a bit of its draws
 CHUNK_DRAWS = 2**16
+
+# most unit offsets (largest K x slots) that consecutive blocks phase
+# together: here the kernel's complex temporaries stay at 128 KiB, and a
+# little past it the allocator maps each afresh on every call, whose page
+# faults cost more than phasing the blocks one by one
+GROUP_DRAWS = 2**13
 
 # draws between a block's start and its gammas: far past any block's normals
 # and offsets, so the gammas of each M begin at one fixed position
@@ -157,105 +164,181 @@ class WishartDraws(NamedTuple):
         return WishartDraws(*(a[..., start:stop] for a in self))
 
 
-def draw_wishart(cfgs: Sequence[SystemConfig], rng: np.random.Generator, out: WishartDraws) -> None:
-    """Fill row i of ``out`` with the random inputs of ``cfgs[i]``, all from one block's stream ``rng``.
+def draw_wishart(
+    cfgs: Sequence[SystemConfig], rngs: Sequence[np.random.Generator], out: WishartDraws, block: int
+) -> None:
+    """Fill row i of ``out`` with the random inputs of ``cfgs[i]``, from the streams of consecutive blocks.
 
-    The configurations share the CFO kind; K, M, epsilon and the noise may
-    differ.  Draw order is fixed, for B slots.  From the generator's state at
-    entry come the 2B normals behind a21 (the real parts, then the imaginary
-    parts), drawn once for all rows, and then the unit offsets, user-major:
-    B for user 0, then B for user 1, up to the largest K.  They are
-    u ~ U(-1, 1) for uniform CFO and z ~ N(0, 1) for Gaussian CFO, and
-    configuration i scales them by its omega_max or omega_max / 3.  The
-    gammas, B a11^2 ~ Gamma(M) then B a22^2 ~ Gamma(M - 1), come from that
-    entry state advanced by ``GAMMA_OFFSET`` draws, once per distinct M,
-    into the first row of that M, which the other rows of that M copy.  So
-    every configuration gets exactly the draws it would get alone, only its
-    gammas depend on M, and one with K users reads the first K*B offsets.
-    Only the phasor sums g are kept.  Each is the sum of its K phasors
-    (``_unit_phasors``) in exactly one order, on which the bytes depend: from
-    +0, one user row after another in user order.  The bit generator of
-    ``rng`` must support ``advance``, as PCG64, the default, does.
+    ``rngs[j]`` is the stream of block j, which holds slots ``j*block`` up
+    to ``(j+1)*block`` of ``out``, the last block what remains.  The
+    configurations share the CFO kind; K, M, epsilon and the noise may
+    differ.  Draw order is fixed, for a block of B slots.  From its
+    generator's state at entry come the 2B normals behind a21 (the real
+    parts, then the imaginary parts), drawn once for all rows, and then the
+    unit offsets, user-major: B for user 0, then B for user 1, up to the
+    largest K.  They are u ~ U(-1, 1) for uniform CFO and z ~ N(0, 1) for
+    Gaussian CFO, and configuration i scales them by its omega_max or
+    omega_max / 3.  The gammas, B a11^2 ~ Gamma(M) then B a22^2 ~
+    Gamma(M - 1), come from that entry state advanced by ``GAMMA_OFFSET``
+    draws, once per distinct M, into the first row of that M, which the
+    other rows of that M copy.  So every configuration gets exactly the
+    draws it would get alone, only its gammas depend on M, and one with K
+    users reads the first K*B offsets of each block.
+
+    Each block only draws, into its columns; the arithmetic on the offsets
+    runs once per group of consecutive whole blocks that hold at most
+    ``GROUP_DRAWS`` offsets (largest K times slots) between them, so that
+    blocks of few users share its numpy calls: blocks of 256 slots group at
+    K <= 16 and are phased one by one above (``_phasor_sums``).  Only the
+    phasor sums g are kept.
+    Each is the sum of its K phasors (``_unit_phasors``) in exactly one
+    order, on which the bytes depend: from +0, one user row after another in
+    user order.  The bit generators must support ``advance``, as PCG64, the
+    default, does.
     """
     kind = cfgs[0].cfo.kind
     if any(cfg.cfo.kind is not kind for cfg in cfgs):
         raise ValueError("configurations that draw together must share the CFO kind")
-    bit_generator = rng.bit_generator
-    start = bit_generator.state
-    # two calls that consume the stream as one call of 2B would
-    rng.standard_normal(out=out.re)
-    rng.standard_normal(out=out.im)
-    _phasor_sums(cfgs, rng, out.g)
-    rows_of: dict[int, list[int]] = {}
-    for row, cfg in enumerate(cfgs):
-        rows_of.setdefault(cfg.m_antennas, []).append(row)
-    for m_antennas, (first, *rest) in rows_of.items():
-        bit_generator.state = start
-        bit_generator.advance(GAMMA_OFFSET)
-        rng.standard_gamma(m_antennas, out=out.gamma_m[first])
-        # shape 0 yields exact zeros without consuming the stream
-        rng.standard_gamma(m_antennas - 1, out=out.gamma_m1[first])
-        if rest:
-            out.gamma_m[rest] = out.gamma_m[first]
-            out.gamma_m1[rest] = out.gamma_m1[first]
-
-
-def _phasor_sums(cfgs: Sequence[SystemConfig], rng: np.random.Generator, g: np.ndarray) -> None:
-    """Draw the unit offsets of ``draw_wishart`` and write row i of ``g`` for ``cfgs[i]``.
-
-    The sum at one scale adds the phasor rows from +0 in user order, as a
-    loop of ``total += row`` would, but pays per target K, not per user:
-    each run of rows up to the next target K is one ``sum(axis=0)``, which
-    adds the rows of a C-ordered block one after another, after the running
-    total has been added into the run's first row.  So every addition is one
-    the loop makes, in its order, and the bits are the loop's.  Users are
-    drawn and phased ``CHUNK_DRAWS // B`` at a time, carrying the total, so
-    transient memory does not grow with K and the result is bit for bit that
-    of one chunk.  Phasors are formed once per distinct scale, for the
-    largest K at that scale, and all rows that share (scale, K) take their
-    sum in one assignment.
-    """
-    trials = g.shape[-1]
-    gaussian = cfgs[0].cfo.kind is CfoKind.GAUSSIAN
+    gaussian = kind is CfoKind.GAUSSIAN
     # scale -> K -> the rows of g that take the sum of the first K users
     wanted: dict[float, dict[int, list[int]]] = {}
+    # M -> the rows that take the gammas of that M
+    rows_of: dict[int, list[int]] = {}
     for row, cfg in enumerate(cfgs):
         scale = cfg.cfo.omega_max / (3.0 if gaussian else 1.0)
         if scale == 0.0 or cfg.k_active == 0:
             # every phasor is exactly 1, so the running sum is exactly K
-            g[row] = cfg.k_active
+            out.g[row] = cfg.k_active
         else:
             wanted.setdefault(scale, {}).setdefault(cfg.k_active, []).append(row)
-    if not wanted:
-        return
-    users = max(max(targets) for targets in wanted.values())
+        rows_of.setdefault(cfg.m_antennas, []).append(row)
+    users = max((max(targets) for targets in wanted.values()), default=0)
+    trials = out.re.shape[-1]
+    if len(rngs) != -(-trials // block):
+        raise ValueError(f"{len(rngs)} generators for {trials} slots in blocks of {block}")
+    spans = [(rng, lo, min(lo + block, trials)) for rng, lo in zip(rngs, range(0, trials, block))]
+    # runs of whole blocks whose offsets, together, stay within GROUP_DRAWS;
+    # a block of one slot is phased alone, as _phasor_sums explains
+    per_group = max(1, GROUP_DRAWS // (max(users, 1) * block)) if block > 1 else 1
+    groups = [spans[first : first + per_group] for first in range(0, len(spans), per_group)]
+    if groups and len(groups[-1]) > 1 and groups[-1][-1][2] - groups[-1][-1][1] == 1:
+        groups[-1:] = [groups[-1][:-1], groups[-1][-1:]]
+    for group in groups:
+        starts = []
+        for rng, lo, hi in group:
+            starts.append(rng.bit_generator.state)
+            # two calls that consume the stream as one call of 2B would
+            rng.standard_normal(out=out.re[lo:hi])
+            rng.standard_normal(out=out.im[lo:hi])
+        if users:
+            _phasor_sums(wanted, users, gaussian, group, out.g)
+        for (rng, lo, hi), start in zip(group, starts):
+            for m_antennas, (row, *_) in rows_of.items():
+                rng.bit_generator.state = start
+                rng.bit_generator.advance(GAMMA_OFFSET)
+                rng.standard_gamma(m_antennas, out=out.gamma_m[row, lo:hi])
+                # shape 0 yields exact zeros without consuming the stream
+                rng.standard_gamma(m_antennas - 1, out=out.gamma_m1[row, lo:hi])
+    for row, *rest in rows_of.values():
+        if rest:
+            out.gamma_m[_rows(rest)] = out.gamma_m[row]
+            out.gamma_m1[_rows(rest)] = out.gamma_m1[row]
+
+
+def _rows(rows: list[int]) -> list[int] | slice:
+    """Increasing ``rows`` as a slice when they are consecutive, which numpy
+    assigns to without an index array, else as they are."""
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows
+
+
+def _phasor_sums(
+    wanted: dict[float, dict[int, list[int]]],
+    users: int,
+    gaussian: bool,
+    group: Sequence[tuple[np.random.Generator, int, int]],
+    g: np.ndarray,
+) -> None:
+    """Draw the first ``users`` unit offsets of each block of ``group``; write the rows ``wanted`` names.
+
+    ``group`` lists (generator, first slot, end slot) of consecutive blocks
+    whose normals are drawn; ``wanted`` maps a scale and a K to the rows of
+    ``g`` that take the sum of the first K phasors at that scale.  Each block
+    only draws its offsets, into its own (users, slots) part of one buffer;
+    the arithmetic then runs once over the buffer: the 2u - 1 of uniform
+    offsets, one ``_unit_phasors`` call per scale, and the sums, over the
+    full blocks as one (blocks, users, slots) array and over a short last
+    block as a part of its own.
+
+    The sum at one scale adds the phasor rows from +0 in user order, as a
+    loop of ``total += row`` would, but pays per target K, not per user:
+    each run of rows up to the next target K is one reduction over the user
+    axis, which adds the rows one after another, after the running total has
+    been added into the run's first row.  So every addition is one the loop
+    makes, in its order, and the bits are the loop's.  (In a block of one
+    slot, numpy adds a run of rows pairwise instead; grouping keeps that
+    block's arrays as they are alone, so its bits do not change either.)  A
+    group of several blocks holds at most ``GROUP_DRAWS`` offsets; one block
+    with more than ``CHUNK_DRAWS`` is drawn and phased in chunks of users,
+    carrying the total, so that transient memory does not grow with K and
+    the result is bit for bit that of one chunk.
+
+    Phasors are formed once per distinct scale, in a group of one block for
+    the users that scale needs, in a group of several for every user drawn,
+    and all rows that share (scale, K) take their sum in one assignment.  A
+    phasor's bits depend on its offset alone, except that numpy multiplies a
+    one-element complex array without the fused multiply-add that its vector
+    loop may use; so a block of one slot, whose phasors can form such an
+    array, is phased alone, as it would be on its own.
+    """
+    lo, hi = group[0][1], group[-1][2]
+    slots = hi - lo
+    width = group[0][2] - lo
+    # only the last block of a group can be short
+    full = len(group) - (group[-1][2] - group[-1][1] != width)
+    # (first slot, blocks, slots per block) of each part of equal blocks
+    parts = [(0, full, width)]
+    if full < len(group):
+        parts.append((full * width, 1, hi - group[-1][1]))
     # a +0 start, so that even the sign of a zero is that of adding row by row
-    sums = {scale: np.zeros(trials, complex) for scale in wanted}
-    step = max(1, CHUNK_DRAWS // trials)
-    for lo in range(0, users, step):
-        rows = min(step, users - lo)
-        if gaussian:
-            unit = rng.standard_normal((rows, trials))
-        else:
+    sums = {scale: np.zeros(slots, complex) for scale in wanted}
+    step = max(1, CHUNK_DRAWS // slots)
+    for first_user in range(0, users, step):
+        rows = min(step, users - first_user)
+        unit = np.empty(rows * slots)
+        for rng, start, end in group:
+            drawn = unit[rows * (start - lo) : rows * (end - lo)].reshape(rows, end - start)
+            if gaussian:
+                rng.standard_normal(out=drawn)
+            else:
+                rng.random(out=drawn)
+        if not gaussian:
             # uniform(-1, 1) computes -1 + 2u from the same draws; 2u - 1 is that exactly
-            unit = rng.random((rows, trials))
             unit *= 2.0
             unit -= 1.0
         for scale, targets in wanted.items():
-            needed = min(rows, max(targets) - lo)
+            needed = min(rows, max(targets) - first_user)
             if needed <= 0:
                 continue
-            phasors = _unit_phasors(unit[:needed], scale)
+            # a group of one block forms the phasors of the needed users only
+            formed = needed if len(group) == 1 else rows
+            phasors = _unit_phasors(unit[: formed * slots], scale)
             total = sums[scale]
-            first = 0
-            ends = sorted(k - lo for k in targets if lo < k < lo + needed)
+            views = [
+                (
+                    phasors[formed * at : formed * (at + count * size)].reshape(count, formed, size),
+                    total[at : at + count * size].reshape(count, size),
+                )
+                for at, count, size in parts
+            ]
+            begin = 0
+            ends = sorted(k - first_user for k in targets if first_user < k < first_user + needed)
             for end in (*ends, needed):
-                phasors[first] += total
-                total = phasors[first:end].sum(axis=0)
-                if lo + end in targets:
-                    g[targets[lo + end]] = total
-                first = end
-            sums[scale] = total
+                for view, part_total in views:
+                    view[:, begin] += part_total
+                    np.add.reduce(view[:, begin:end], axis=1, out=part_total)
+                if first_user + end in targets:
+                    g[_rows(targets[first_user + end]), lo:hi] = total
+                begin = end
 
 
 def _unit_circle(points: int) -> np.ndarray:

@@ -383,6 +383,30 @@ class TestRunCommand:
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == expected
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_only_an_existing_file_is_cut(self, tmp_path, capsys, monkeypatch, fmt):
+        """A file the call creates is empty, so it is written and not cut; an
+        existing, longer file is cut to the output's length."""
+        argv = ["run", "--trials", "15", "--schemes", "orthogonal", "--format", fmt]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        cuts = []
+        real_ftruncate = os.ftruncate
+
+        def recording_ftruncate(fd, length):
+            cuts.append(length)
+            real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+        out = tmp_path / "point.out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert cuts == []
+        out.write_bytes(b"x" * (3 * len(expected)))
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+        assert cuts == [len(expected)]
+
     def test_output_to_device_exits_0(self, capsys):
         if not os.path.exists(os.devnull):
             pytest.skip(f"no {os.devnull} on this platform")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from auesim.covariance import check_entries
 from auesim.reference import (
     EigenPair,
     ReceivedPilot,
@@ -120,3 +123,97 @@ class TestEigenPair:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             EigenPair(lambda_max=math.nan, lambda_min=0.0)
+
+
+def check_entries_oracle(r1, r2, r12):
+    """The check ``covariance.check_entries`` made entry by entry, one pass of
+    numpy calls per entry, kept as the reference the one-pass check must match."""
+    r1, r2, r12 = np.asarray(r1), np.asarray(r2), np.asarray(r12)
+    for name, values, rule, ok in (
+        ("r1", r1, "finite and >= 0", r1 >= 0.0),
+        ("r2", r2, "finite and >= 0", r2 >= 0.0),
+        ("r12", r12, "finite", True),
+    ):
+        bad = ~(np.isfinite(values) & ok)
+        if bad.any():
+            raise ValueError(f"{name} must be {rule}, got {values[bad][0]}")
+    cross = r12.real**2 + r12.imag**2
+    bad = r1 * r2 - cross < -1e-12 * np.maximum(1.0, r1 * r2)
+    if bad.any():
+        raise ValueError(
+            f"|r12|^2 = {cross[bad][0]} exceeds r1*r2 = {(r1 * r2)[bad][0]}; "
+            "not a valid sample covariance"
+        )
+
+
+def _outcome(check, entries):
+    """None if ``check`` accepts ``entries``, else the message it raises."""
+    try:
+        # overflow and inf - inf are part of the inputs, on both sides alike
+        with np.errstate(all="ignore"):
+            check(*entries)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1e-12, 5e-324, -5e-324, 1e300, -1e300, 1.7e308, math.inf, -math.inf, math.nan]
+_ENTRY = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _near_boundary(draw):
+    """A covariance whose |r12|^2 lies within a few 1e-12 of r1*r2, so that
+    rounding decides the determinant check; at 1e300 both products overflow."""
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    if draw(st.booleans()):
+        # r1*r2 <= 1, where the slack is 1e-12 absolute
+        r1, r2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        size = math.sqrt(r1 * r2 + draw(st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 3e-12])))
+    else:
+        scale = draw(st.sampled_from([1e-6, 1.0, 25.0, 1e6, 1e150, 1e300]))
+        r1 = scale * draw(st.floats(0.0, 4.0))
+        r2 = scale * draw(st.floats(0.0, 4.0))
+        stretch = 1.0 + draw(st.sampled_from([-1e-11, -1e-13, 0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11]))
+        size = math.sqrt(r1) * math.sqrt(r2) * stretch
+    return r1, r2, complex(size * math.cos(angle), size * math.sin(angle))
+
+
+@st.composite
+def _entry_arrays(draw):
+    """(r1, r2, r12) as scalars or as arrays of up to six entries, each entry
+    valid, near the determinant boundary, or built from special values."""
+    valid = st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)).map(
+        lambda r: (r[0], r[1], 0.5 * complex(r[0], -r[1]))
+    )
+    special = st.tuples(_ENTRY, _ENTRY, st.builds(complex, _ENTRY, _ENTRY))
+    one = st.one_of(valid, _near_boundary(), special)
+    if draw(st.booleans()):
+        return draw(one)
+    entries = draw(st.lists(one, min_size=1, max_size=6))
+    return tuple(np.array(column) for column in zip(*entries))
+
+
+class TestCheckEntriesAgainstOracle:
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(_entry_arrays())
+    def test_same_verdict_and_message(self, entries):
+        assert _outcome(check_entries, entries) == _outcome(check_entries_oracle, entries)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (1e300, 1e300, complex(1e300, 0.0)),  # both products overflow: inf - inf passes
+            (1.0, 1e300, complex(1e300, 0.0)),  # only |r12|^2 overflows
+            (1e300, 1e300, 0j),  # only r1*r2 overflows
+            (np.array([1.0, -0.0]), np.array([1.0, 1.0]), np.zeros(2, complex)),
+            (np.array([1.0, 2.0]), np.array([math.nan, 1.0]), np.zeros(2, complex)),
+            (1.0, 1.0, complex(1.0, math.inf)),
+            (1.0, 1.0, complex(1.0 + 1e-12, 0.0)),  # within the slack
+            (1.0, 1.0, complex(1.0 + 1e-11, 0.0)),  # past it
+            (1.0, 0.5, complex(math.sqrt(0.5 + 1.5e-12), 0.0)),  # 1.5e-12 short, below r1*r2 = 1
+            (np.zeros(0), np.zeros(0), np.zeros(0, complex)),
+        ],
+    )
+    def test_edges(self, entries):
+        assert _outcome(check_entries, entries) == _outcome(check_entries_oracle, entries)

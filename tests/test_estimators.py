@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from auesim.covariance import CovarianceBlock
@@ -12,6 +14,7 @@ from auesim.estimators import (
     EstimatorContext,
     EstimatorDomainError,
     Scheme,
+    _clamped_counts,
     characteristic_function,
     check_domain,
     eig_diff_statistic,
@@ -21,6 +24,7 @@ from auesim.estimators import (
     multiplication_count,
     orthogonal_statistic,
 )
+from auesim.harness import MAX_POPULATION
 from auesim.model import CfoModel
 from auesim.reference import ReceivedPilot, SampleCovariance, eigenvalues, sample_covariance
 
@@ -354,3 +358,78 @@ class TestMultiplicationCount:
     def test_rejects_bad_antenna_count(self):
         with pytest.raises(ValueError):
             multiplication_count(Scheme.EIG_SUM, 0)
+
+
+def clamped_counts_oracle(values, n_potential):
+    """The rounding ``estimators._clamped_counts`` made with trunc, sign and an
+    absolute step, eleven numpy calls, kept as the reference for the counts."""
+    if np.isnan(values).any():
+        raise ValueError("statistic is NaN; cannot round it to a count")
+    whole = np.trunc(values)
+    step = np.abs(values - whole)
+    up = step >= 0.5
+    np.sign(values, out=step)
+    step *= up
+    whole += step
+    return np.clip(whole, 0, n_potential, out=whole).astype(np.int64)
+
+
+def _counts_outcome(clamp, values, n_potential):
+    """The counts, or the message of the ``ValueError`` raised instead."""
+    try:
+        # inf - inf in the step fraction is part of the inputs, on both sides alike
+        with np.errstate(invalid="ignore"):
+            return clamp(values, n_potential)
+    except ValueError as exc:
+        return str(exc)
+
+
+_POPULATIONS = [1, 4, 100, MAX_POPULATION]
+
+
+@st.composite
+def _statistics(draw):
+    """An array of statistics for a population N: ties, values one ulp off a
+    tie or a whole number, signed zeros, 2^52 +- 0.5, infinities and the clamp
+    edges 0 and N, besides any float."""
+    n = draw(st.sampled_from(_POPULATIONS))
+    edges = [0.5, -0.5, 0.49999999999999994, -0.49999999999999994, 1.5, -1.5, 2.5, 0.0, -0.0,
+             2.0**52 - 0.5, 2.0**52 + 0.5, 2.0**52, 2.0**53 + 1, math.inf, -math.inf,
+             n, n - 0.5, n + 0.5, n - 0.49999999999999994, n + 1.0, -1.0]
+    value = st.one_of(
+        st.sampled_from(edges),
+        st.integers(-4 * n, 4 * n).map(lambda half: half / 2),
+        st.tuples(st.integers(-4 * n, 4 * n), st.sampled_from([-math.inf, math.inf])).map(
+            lambda near: float(np.nextafter(near[0] / 2, near[1]))
+        ),
+        st.floats(allow_nan=False),
+    )
+    shape = draw(st.sampled_from([(1,), (7,), (2, 3), (4, 2, 5)]))
+    values = draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=float).reshape(shape), n
+
+
+class TestClampedCountsAgainstOracle:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_statistics())
+    def test_same_counts(self, case):
+        values, n = case
+        with np.errstate(invalid="ignore"):
+            counts = _clamped_counts(values.copy(), n)
+            expected = clamped_counts_oracle(values.copy(), n)
+        assert counts.dtype == np.int64
+        assert counts.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", _POPULATIONS)
+    def test_nan_still_raises(self, n):
+        for values in (np.array([math.nan]), np.array([1.5, math.nan, -math.inf]), np.array([[0.5], [math.nan]])):
+            outcome = _counts_outcome(_clamped_counts, values.copy(), n)
+            assert outcome == _counts_outcome(clamped_counts_oracle, values.copy(), n)
+            assert outcome == "statistic is NaN; cannot round it to a count"
+
+    def test_edges(self):
+        values = np.array([0.5, -0.5, 0.49999999999999994, -0.0, 2.0**52 - 0.5, 2.0**52 + 0.5, math.inf,
+                           -math.inf, 3.5, 4.5, 4.49999999999999994, -2.5])
+        with np.errstate(invalid="ignore"):
+            assert _clamped_counts(values, 4).tolist() == [1, 0, 0, 0, 4, 4, 4, 0, 4, 4, 4, 0]
+            assert _clamped_counts(values, 4).tolist() == clamped_counts_oracle(values, 4).tolist()

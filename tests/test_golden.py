@@ -209,6 +209,20 @@ DEFAULT_SIZE_SHA256 = {
         ["sweep", "--axis", "k", "--values", "5,15,25,35,45", "--trials", "20000", "--seed", "3"],
         "d3fb6f879967fc0fd8c8d1640dea1b55bd999f4b2eb8cf450bb8215bdd9b137f",
     ),
+    # recorded with auesim 0.4.1 while each block still formed its own phasors:
+    # at K = 2 a pass phases up to 16 blocks in one group, and these runs have
+    # 79 and 7 x 79 blocks
+    "small-k-run-20k": (
+        ["run", "--n", "4", "--k", "2", "--m", "2", "--trials", "20000", "--seed", "3"],
+        "ece653b5f2061647f212fad48ce8a9f49eee64b935e06c761c701df8b55587a8",
+    ),
+    "small-k-snr-sweep-20k": (
+        [
+            "sweep", "--axis", "snr", "--values=-10,-5,0,5,10,15,20", "--n", "4", "--k", "2", "--m", "2",
+            "--trials", "20000", "--seed", "3",
+        ],
+        "8921674210a275273565a72f0686b0660647f832a82948cc1a587c4584017763",
+    ),
 }
 
 

@@ -146,9 +146,14 @@ def record_draws(monkeypatch):
     return calls
 
 
+def block_rngs(calls):
+    """The generators of every block the recorded draws covered, in order."""
+    return [rng for _, rngs, _, _ in calls for rng in rngs]
+
+
 def seed_keys(calls):
-    """The (entropy, spawn key) of the seed sequence behind each recorded draw."""
-    seqs = [rng.bit_generator.seed_seq for _, rng, _ in calls]
+    """The (entropy, spawn key) of the seed sequence behind each recorded block."""
+    seqs = [rng.bit_generator.seed_seq for rng in block_rngs(calls)]
     return [(seq.entropy, seq.spawn_key) for seq in seqs]
 
 
@@ -162,8 +167,9 @@ class TestPointSeed:
         first = run_sweep(config)
         # both M points of a block draw from one generator, block-major
         assert seed_keys(calls) == [(123, (0,)), (123, (1,))]
+        calls.clear()
         assert run_sweep(config) == first
-        assert seed_keys(calls[2:]) == seed_keys(calls[:2])
+        assert seed_keys(calls) == [(123, (0,)), (123, (1,))]
 
     def test_distinct_across_indices_and_masters(self, monkeypatch):
         calls = record_draws(monkeypatch)
@@ -200,7 +206,7 @@ class TestPointSeed:
         for seed in (0, 1, 5, 2**32, 2**32 + 1, colliding, 2**64 - 1):
             calls.clear()
             point_nrmse(BASE_CFG, (Scheme.MLE,), 12 * BLOCK, seed=seed)
-            states += [rng.bit_generator.seed_seq.generate_state(4).tobytes() for _, rng, _ in calls]
+            states += [rng.bit_generator.seed_seq.generate_state(4).tobytes() for rng in block_rngs(calls)]
             states.append(np.random.SeedSequence(seed).generate_state(4).tobytes())
         assert len(states) == 7 * 13
         assert len(set(states)) == len(states)
@@ -221,12 +227,13 @@ class TestSharedDraws:
         calls = record_draws(monkeypatch)
         config = small_config(sweep=SweepSpec(axis=axis, values=values), trials=2 * BLOCK + 50)
         run_sweep(config)
-        assert len(calls) == 3
+        # one pass: a call takes the generators of all its blocks
+        assert len(calls) == 1
         assert seed_keys(calls) == [(7, (0,)), (7, (1,)), (7, (2,))]
-        for cfgs, _, _ in calls:
+        for cfgs, _, _, block in calls:
             assert list(cfgs) == [apply_axis_value(BASE_CFG, axis, v) for v in values]
-        shapes = [out.g.shape for _, _, out in calls]
-        assert shapes == [(len(values), BLOCK)] * 2 + [(len(values), 50)]
+            assert block == BLOCK
+        assert [out.g.shape for _, _, out, _ in calls] == [(len(values), 2 * BLOCK + 50)]
 
     def test_antenna_sweep_draws_each_block_once(self, monkeypatch):
         """One call per block covers every M point, repeated M included."""
@@ -234,19 +241,21 @@ class TestSharedDraws:
         values = (1.0, 2.0, 8.0, 2.0)
         run_sweep(small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=values), trials=BLOCK + 9))
         assert seed_keys(calls) == [(7, (0,)), (7, (1,))]
-        assert [[cfg.m_antennas for cfg in cfgs] for cfgs, _, _ in calls] == [[1, 2, 8, 2]] * 2
-        assert [out.g.shape for _, _, out in calls] == [(4, BLOCK), (4, 9)]
+        assert [[cfg.m_antennas for cfg in cfgs] for cfgs, _, _, _ in calls] == [[1, 2, 8, 2]]
+        assert [out.g.shape for _, _, out, _ in calls] == [(4, BLOCK + 9)]
 
     def test_rows_equal_at_any_pass_size(self, monkeypatch):
         """Every row equals, bit for bit, the one-point run of its configuration,
         at any pass size, worker count and offset chunk size: pass boundaries
         that split a block's points or the sweep's points change no row.  Each
         sweep ends on a short block, and the 35 points of the epsilon sweep do
-        not fill a whole number of 32-point passes."""
+        not fill a whole number of 32-point passes.  At K <= 5 a full pass of
+        the last sweep phases its 16 blocks in groups of 6, 6 and 4."""
         sweeps = [
             (SweepAxis.SNR_DB, (-5.0, 20.0, 0.0, 10.0), 2 * BLOCK + 5),
             (SweepAxis.ACTIVE_USERS, (25.0, 5.0, 15.0, 5.0), 3 * BLOCK + 5),
             (SweepAxis.EPSILON_MAX, [i / 100 for i in range(35)], BLOCK + 3),
+            (SweepAxis.ACTIVE_USERS, (5.0, 2.0), 16 * BLOCK + 5),
         ]
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, 64, 64)
@@ -470,9 +479,9 @@ class TestRunPoint:
             monkeypatch.setitem(estimators._STATISTICS, scheme, recording_statistic)
         draws = record_draws(monkeypatch)
         point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=5)
-        assert [out.g.shape for _, _, out in draws] == [(1, BLOCK), (1, BLOCK), (1, 50)]
+        assert [out.g.shape for _, _, out, _ in draws] == [(1, trials)]
         assert seed_keys(draws) == [(5, (0,)), (5, (1,)), (5, (2,))]
-        assert len({id(rng) for _, rng, _ in draws}) == len(draws)
+        assert len({id(rng) for rng in block_rngs(draws)}) == 3
         assert list(read) == list(ALL_SCHEMES)
         assert all(len(calls) == 1 for calls in read.values())
         covs = [calls[0] for calls in read.values()]

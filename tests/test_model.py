@@ -245,10 +245,10 @@ def _ks_config(m, cfo):
 
 def sample_wishart(cfg, trials, rng):
     """Entries of ``trials`` slots of ``cfg`` from ``rng``: one ``draw_wishart``
-    record, then ``bartlett_covariance``, as the simulation runs them; the record's
-    one row, flattened."""
+    record, drawn as one block, then ``bartlett_covariance``, as the simulation
+    runs them; the record's one row, flattened."""
     draws = WishartDraws.empty(1, trials)
-    draw_wishart((cfg,), rng, draws)
+    draw_wishart((cfg,), [rng], draws, trials)
     block = bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)
     return CovarianceBlock(*(entry.ravel() for entry in block))
 
@@ -329,7 +329,7 @@ class TestSampleWishart:
         parts = []
         for i, (cfg, size) in enumerate(zip(cfgs, sizes)):
             draws = WishartDraws.empty(1, size)
-            draw_wishart((cfg,), np.random.default_rng(7206 + i), draws)
+            draw_wishart((cfg,), [np.random.default_rng(7206 + i)], draws, size)
             parts.append(draws)
         joined = WishartDraws(*(np.concatenate(column, axis=-1) for column in zip(*parts)))
 
@@ -348,10 +348,11 @@ class TestSampleWishart:
 
 
 def _drawn(cfgs, trials, seed):
-    """Per-row views of the record ``draw_wishart`` fills for ``cfgs`` from one
-    generator seeded ``seed``: row i's g and gammas, and the shared normals."""
+    """Per-row views of the record ``draw_wishart`` fills for ``cfgs`` as one
+    block, from a generator seeded ``seed``: row i's g and gammas, and the
+    shared normals."""
     out = WishartDraws.empty(len(cfgs), trials)
-    draw_wishart(cfgs, np.random.default_rng(seed), out)
+    draw_wishart(cfgs, [np.random.default_rng(seed)], out, trials)
     return [WishartDraws(out.g[i], out.gamma_m[i], out.gamma_m1[i], out.re, out.im) for i in range(len(cfgs))]
 
 
@@ -375,6 +376,22 @@ class TestDrawWishart:
         together = _drawn(cfgs, 37, 7301)
         for cfg, out in zip(cfgs, together):
             assert _same_bytes(out, _drawn([cfg], 37, 7301)[0])
+
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    def test_one_slot_point_equals_its_draw_alone(self, kind):
+        """At one slot, a point whose scale needs one user gets the phasor its
+        own draw forms, from a one-element array, although the block draws 25
+        users: numpy multiplies one complex element without the fused
+        multiply-add its vector loop may use."""
+        cfgs = [
+            dataclasses.replace(BASE_CFG, cfo=CfoModel(kind, 0.15)),
+            dataclasses.replace(BASE_CFG, k_active=1, cfo=CfoModel(kind, 0.05)),
+        ]
+        # the two products agree in about half the cases, so several seeds
+        for seed in range(7308, 7324):
+            together = _drawn(cfgs, 1, seed)
+            for cfg, out in zip(cfgs, together):
+                assert _same_bytes(out, _drawn([cfg], 1, seed)[0])
 
     def test_offsets_nest_along_k(self):
         """A point with K users reads the first K user rows of a larger K's draws."""
@@ -445,6 +462,79 @@ class TestDrawWishart:
         with pytest.raises(ValueError, match="share the CFO kind"):
             _drawn([BASE_CFG, dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.15))], 4, 7305)
 
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_rejects_a_generator_count_that_does_not_cover_the_record(self, streams):
+        rngs = [np.random.default_rng(7309 + b) for b in range(streams)]
+        with pytest.raises(ValueError, match="generators for 300 slots"):
+            draw_wishart([BASE_CFG], rngs, WishartDraws.empty(1, 300), 256)
+
+
+class TestGroupedBlocks:
+    """A pass phases the offsets of several blocks together; every block's
+    draws must equal, bit for bit, those it gets when drawn on its own."""
+
+    BLOCK = 256
+
+    @staticmethod
+    def _streams(blocks, seed):
+        return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))) for b in range(blocks)]
+
+    @pytest.mark.parametrize("chunk", [1, 2**20])
+    @pytest.mark.parametrize("last", [1, 100])
+    @pytest.mark.parametrize("blocks", [1, 2, 16, 32])
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 16, 17, 25, 33, 45])
+    def test_grouped_equal_per_block(self, monkeypatch, k, kind, blocks, last, chunk):
+        """Passes of 1 to 32 blocks, the last one short, at K from 1 to 45:
+        groups of up to 32 blocks (K = 1), of one (K >= 17), and a short block
+        that joins a group or, at one slot, is phased alone.  Two scales, one
+        of which needs fewer users than the pass draws, two targets at the
+        other, and two points that share M."""
+        monkeypatch.setattr(model, "CHUNK_DRAWS", chunk)
+        cfgs = [
+            dataclasses.replace(BASE_CFG, k_active=k, m_antennas=2, cfo=CfoModel(kind, 0.15)),
+            dataclasses.replace(BASE_CFG, k_active=-(-k // 2), m_antennas=8, cfo=CfoModel(kind, 0.4)),
+            dataclasses.replace(BASE_CFG, k_active=-(-k // 2), m_antennas=2, cfo=CfoModel(kind, 0.15)),
+        ]
+        trials = (blocks - 1) * self.BLOCK + last
+        seed = 7500 + k
+        grouped = WishartDraws.empty(len(cfgs), trials)
+        draw_wishart(cfgs, self._streams(blocks, seed), grouped, self.BLOCK)
+        alone = WishartDraws.empty(len(cfgs), trials)
+        for b, rng in enumerate(self._streams(blocks, seed)):
+            part = alone.part(b * self.BLOCK, min((b + 1) * self.BLOCK, trials))
+            draw_wishart(cfgs, [rng], part, self.BLOCK)
+        assert _same_bytes(grouped, alone)
+
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    def test_blocks_of_one_slot(self, kind):
+        """Blocks one slot wide are phased one by one, as their own draws are."""
+        cfg = dataclasses.replace(BASE_CFG, k_active=1, cfo=CfoModel(kind, 0.15))
+        grouped = WishartDraws.empty(1, 5)
+        draw_wishart([cfg], self._streams(5, 7560), grouped, 1)
+        alone = WishartDraws.empty(1, 5)
+        for b, rng in enumerate(self._streams(5, 7560)):
+            draw_wishart([cfg], [rng], alone.part(b, b + 1), 1)
+        assert _same_bytes(grouped, alone)
+
+    def test_groups_hold_at_most_group_draws(self, monkeypatch):
+        """At K = 2, a 32-block pass phases its offsets in two groups of 16
+        blocks; at K = 25, block by block."""
+        calls = []
+        real = model._unit_phasors
+
+        def recording(unit, scale):
+            calls.append(unit.size)
+            return real(unit, scale)
+
+        monkeypatch.setattr(model, "_unit_phasors", recording)
+        for k, sizes in ((2, [2 * 16 * self.BLOCK] * 2), (25, [25 * self.BLOCK] * 32)):
+            calls.clear()
+            cfg = dataclasses.replace(BASE_CFG, k_active=k)
+            draw_wishart([cfg], self._streams(32, 7550), WishartDraws.empty(1, 32 * self.BLOCK), self.BLOCK)
+            assert calls == sizes
+            assert max(sizes) <= model.GROUP_DRAWS
+
 
 class TestUnitPhasors:
     """The table-and-Taylor phasors that replace ``np.exp(1j * omega)``."""
@@ -495,11 +585,11 @@ class TestUnitPhasors:
         that keeps ten temporaries alive needs about twice as much."""
         cfg = dataclasses.replace(BASE_CFG, k_active=k, cfo=cfo)
         out = WishartDraws.empty(1, trials)
-        draw_wishart((cfg,), np.random.default_rng(7410), out)
+        draw_wishart((cfg,), [np.random.default_rng(7410)], out, trials)
         rng = np.random.default_rng(7410)
         tracemalloc.start()
         try:
-            draw_wishart((cfg,), rng, out)
+            draw_wishart((cfg,), [rng], out, trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
