@@ -2,9 +2,7 @@
 
 An ``ExperimentConfig`` describes a run and is checked, point by point,
 when it is built; ``run_sweep`` turns it into ``SweepRow`` results, and a
-single point is a sweep of one.  ``collect_estimates`` returns the
-per-trial counts of one point instead; it builds the same one-point
-configuration, so every request is checked the same way.
+single point is a sweep of one.
 
 Reproducibility contract (stream 0.4.0): the trials of a point are cut into
 fixed blocks of ``BLOCK`` consecutive trials, the last one short.  Block
@@ -31,14 +29,12 @@ are formed for several blocks at once: an SNR sweep shares every draw, a K
 sweep forms the phasors of its largest K only, and an M sweep forms its
 phasors once and draws only the gammas per M.  The covariance transform,
 all schemes' counts and the squared-error sums then run once over the
-(points, trials) layout, and a pass keeps only
-the per-(point, scheme) sums of its (schemes, points, trials) errors, so
-memory does not grow with the trial count; ``collect_estimates``, which
-returns per-trial counts, is the one caller that keeps more.  A pass sums
-in int64, which ``MAX_POPULATION`` keeps exact, and the totals over passes
-are Python integers, exact at any trial count.  With ``workers > 1`` one
-process pool serves the whole sweep, each worker taking a contiguous range
-of blocks for every point.
+(points, trials) layout, and a pass keeps only the per-(point, scheme)
+sums of its (schemes, points, trials) errors, so memory does not grow with
+the trial count.  A pass sums in int64, which ``MAX_POPULATION`` keeps
+exact, and the totals over passes are Python integers, exact at any trial
+count.  With ``workers > 1`` one process pool serves the whole sweep, each
+worker taking a contiguous range of blocks for every point.
 """
 
 from __future__ import annotations
@@ -257,15 +253,15 @@ def _per_point(values: list):
 
 def _evaluate_pass(
     config: ExperimentConfig, alphas: Sequence[float], points: range, blocks: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and squared-error sums of ``points`` over the trials of ``blocks``.
+) -> np.ndarray:
+    """Squared-error sums of ``points`` over the trials of ``blocks``.
 
     Every block draws all the pass's points at once, into its columns of
     one record, from one generator seeded with the master seed and the spawn
     key ``(block,)``; one ``draw_wishart`` call takes the generators of all
     the pass's blocks, and everything after the draws runs once over the
-    (points, trials) rectangle.  Returns the (schemes, points, trials)
-    counts and the (schemes, points) sums of squared count errors.
+    (points, trials) rectangle.  Returns the (schemes, points) int64 sums
+    of squared count errors.
     """
     cfgs = [config.points[p] for p in points]
     offset = blocks.start * BLOCK
@@ -282,35 +278,28 @@ def _evaluate_pass(
         # no sweep axis changes the population size
         n_potential=config.base.n_potential,
     )
-    counts = estimate_counts(config.schemes, cov, ctx)
-    errors = counts - k_active
+    errors = estimate_counts(config.schemes, cov, ctx) - k_active
     errors *= errors
-    return counts, errors.sum(axis=-1)
+    return errors.sum(axis=-1)
 
 
-def _evaluate_blocks(
-    config: ExperimentConfig, alphas: Sequence[float], blocks: range, keep: bool
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _evaluate_blocks(config: ExperimentConfig, alphas: Sequence[float], blocks: range) -> np.ndarray:
     """Every point over ``blocks``, in passes of at most ``PASS_BLOCKS`` (block, point) units.
 
     A pass is a rectangle: a run of up to ``PASS_BLOCKS`` consecutive points
     by as many whole blocks as then fit, so that the last, narrower run of a
     long sweep takes deeper passes.  Returns the (schemes, points) sums of
-    squared count errors, as Python integers, and, when ``keep`` is set, the
-    counts of every pass in order.
+    squared count errors, as Python integers.
     """
     points = range(len(config.points))
     sums = np.zeros((len(config.schemes), len(points)), dtype=object)
-    kept = []
     for lo in range(0, len(points), PASS_BLOCKS):
         covered = points[lo : lo + PASS_BLOCKS]
         depth = PASS_BLOCKS // len(covered)
         for first in range(0, len(blocks), depth):
-            counts, pass_sums = _evaluate_pass(config, alphas, covered, blocks[first : first + depth])
+            pass_sums = _evaluate_pass(config, alphas, covered, blocks[first : first + depth])
             sums[:, lo : lo + PASS_BLOCKS] += pass_sums.astype(object)
-            if keep:
-                kept.append(counts)
-    return sums, kept
+    return sums
 
 
 def _usable_cpus() -> int:
@@ -322,9 +311,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _evaluate(
-    config: ExperimentConfig, alphas: Sequence[float], workers: int, keep: bool
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _evaluate(config: ExperimentConfig, alphas: Sequence[float], workers: int) -> np.ndarray:
     """``_evaluate_blocks`` over every block of ``config``, on at most ``workers`` processes.
 
     At most ``min(workers, blocks, usable CPUs)`` processes run, in one pool,
@@ -335,38 +322,16 @@ def _evaluate(
     if workers > 1:
         workers = min(workers, blocks, _usable_cpus())
     if workers <= 1:
-        return _evaluate_blocks(config, alphas, range(blocks), keep)
+        return _evaluate_blocks(config, alphas, range(blocks))
     # imported here so that serial runs do not pay for the pool machinery at start-up
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [blocks * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_evaluate_blocks, config, alphas, range(lo, hi), keep)
-            for lo, hi in zip(bounds, bounds[1:])
+            pool.submit(_evaluate_blocks, config, alphas, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
         ]
-        parts = [future.result() for future in futures]
-    return sum(sums for sums, _ in parts), [counts for _, kept in parts for counts in kept]
-
-
-def collect_estimates(
-    cfg: SystemConfig,
-    schemes: Iterable[Scheme],
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-) -> dict[Scheme, np.ndarray]:
-    """Integer estimates of every scheme over ``trials`` seeded trials at ``cfg``.
-
-    The request is checked as the one-point ``ExperimentConfig`` it builds,
-    and its trials are the ones ``run_sweep`` of that configuration draws,
-    so outputs are deterministic in ``seed`` and do not depend on
-    ``workers``.
-    """
-    config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
-    _, kept = _evaluate(config, _alphas(config), workers, keep=True)
-    return dict(zip(config.schemes, np.concatenate(kept, axis=-1)[:, 0]))
+        return sum(future.result() for future in futures)
 
 
 def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, ...]:
@@ -378,7 +343,7 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
     empty everywhere else.
     """
     alphas = _alphas(config)
-    sums, _ = _evaluate(config, alphas, workers, keep=False)
+    sums = _evaluate(config, alphas, workers)
     axis, trials, seed = config.sweep.axis.value, config.trials, config.master_seed
     rows: list[SweepRow] = []
     # the sums are Python integers already; tolist hands them over without a numpy round trip

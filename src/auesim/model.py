@@ -159,10 +159,6 @@ class WishartDraws(NamedTuple):
         shape = (points, trials)
         return cls(np.empty(shape, complex), *map(np.empty, (shape, shape, trials, trials)))
 
-    def part(self, start: int, stop: int) -> "WishartDraws":
-        """Views of slots ``start`` up to ``stop``; filling them fills this record."""
-        return WishartDraws(*(a[..., start:stop] for a in self))
-
 
 def draw_wishart(
     cfgs: Sequence[SystemConfig], rngs: Sequence[np.random.Generator], out: WishartDraws, block: int

@@ -1,22 +1,25 @@
-"""Test oracles: the direct 2 x M pilot model, population moments and an exact NRMSE.
+"""Test oracles: the direct 2 x M model, moments, per-trial counts and an exact NRMSE.
 
 ``generate_received`` synthesises the block Y of ``auesim.model`` channel by
 channel, with offsets from ``draw_cfos``, and ``sample_covariance`` forms
 R = Y Y^H / M from it.  ``moment_oracles`` and ``population_eigenvalues``
-are the closed forms at a ``PopulationSpec``, and ``nrmse`` scores a list of
-counts in Python integers.  No production module imports this one.
+are the closed forms at a ``PopulationSpec``.  ``collect_estimates`` gives
+the per-trial counts of one point, block by block, and ``nrmse`` scores a
+list of counts in Python integers.  No production module imports this one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import model
 from .covariance import check_entries
-from .harness import _nrmse_of_sum
+from .estimators import EstimatorContext, Scheme, estimate_counts
+from .harness import BLOCK, ExperimentConfig, _alphas, _nrmse_of_sum
 from .model import CfoKind, CfoModel, SystemConfig
 from .theory import _check_power
 
@@ -227,3 +230,27 @@ def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
     k = int(k_true)
     # Python integers: no square or sum can overflow
     return _nrmse_of_sum(sum((e - k) * (e - k) for e in arr.tolist()), arr.size, k_true)
+
+
+def collect_estimates(
+    cfg: SystemConfig, schemes: Iterable[Scheme], trials: int, seed: int
+) -> dict[Scheme, np.ndarray]:
+    """Integer counts of every scheme over ``trials`` seeded trials at ``cfg``, as int64.
+
+    The request is checked as the one-point ``ExperimentConfig`` it builds,
+    so it accepts and rejects what ``run_sweep`` does.  Block b then draws
+    alone from ``SeedSequence(seed, spawn_key=(b,))`` and goes through the
+    production steps one block at a time, without the runner's passes,
+    phasor groups or pool; so its counts are the trials whose squared errors
+    ``run_sweep`` sums, reached by another route.
+    """
+    config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
+    ctx = EstimatorContext(cfg.noise_variance, _alphas(config)[0], cfg.n_potential)
+    counts = []
+    for block, lo in enumerate(range(0, trials, BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        draws = model.WishartDraws.empty(1, min(lo + BLOCK, trials) - lo)
+        model.draw_wishart([cfg], [rng], draws, BLOCK)
+        cov = model.bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)
+        counts.append(estimate_counts(config.schemes, cov, ctx)[:, 0])
+    return dict(zip(config.schemes, np.concatenate(counts, axis=-1)))

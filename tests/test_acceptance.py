@@ -27,7 +27,6 @@ from auesim.harness import (
     ExperimentConfig,
     SweepAxis,
     SweepSpec,
-    collect_estimates,
     run_sweep,
     write_csv,
 )
@@ -35,6 +34,7 @@ from auesim.model import CfoModel, SystemConfig
 from auesim.reference import (
     PopulationSpec,
     ReceivedPilot,
+    collect_estimates,
     eigenvalues,
     generate_received,
     moment_oracles,
@@ -89,10 +89,11 @@ def reference_estimates():
 
 
 def test_criterion_1_reference_point_nrmse_and_runtime():
+    config = ExperimentConfig(base=BASE_CFG, schemes=(Scheme.EIG_SUM,), trials=TRIALS, master_seed=101)
     start = time.perf_counter()
-    estimates = collect_estimates(BASE_CFG, (Scheme.EIG_SUM,), TRIALS, seed=101)
+    (row,) = run_sweep(config)
     elapsed = time.perf_counter() - start
-    value = nrmse(estimates[Scheme.EIG_SUM], BASE_CFG.k_active)
+    value = row.nrmse_sim
     ok = 0.1573 <= value <= 0.1739 and elapsed < 10.0
     _report(
         "criterion 1: reference-point eig-sum NRMSE",

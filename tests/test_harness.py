@@ -27,14 +27,13 @@ from auesim.harness import (
     SweepRow,
     SweepSpec,
     apply_axis_value,
-    collect_estimates,
     run_sweep,
     snr_db_to_noise_variance,
     write_csv,
     write_json,
 )
 from auesim.model import CfoKind, CfoModel, SystemConfig
-from auesim.reference import nrmse
+from auesim.reference import collect_estimates, nrmse
 from auesim.theory import nrmse_eig_sum_theory
 
 BASE_CFG = SystemConfig(
@@ -60,10 +59,15 @@ def small_config(**overrides):
     return ExperimentConfig(**fields)
 
 
-def point_nrmse(cfg, schemes, trials, seed):
+def squared_error_sum(counts, k_true):
+    """The exact sum of squared count errors, in Python integers."""
+    return sum((count - k_true) ** 2 for count in counts.tolist())
+
+
+def point_nrmse(cfg, schemes, trials, seed, workers=1):
     """Per-scheme NRMSE at one operating point: the rows of its one-point sweep."""
     config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
-    return {row.scheme: row.nrmse_sim for row in run_sweep(config)}
+    return {row.scheme: row.nrmse_sim for row in run_sweep(config, workers=workers)}
 
 
 class TestNrmse:
@@ -126,7 +130,7 @@ class TestErrorSumBound:
         )
         trials = 40_000
         counts = collect_estimates(cfg, (Scheme.EIG_SUM,), trials, 7)[Scheme.EIG_SUM]
-        exact = sum((count - 1) ** 2 for count in counts.tolist())
+        exact = squared_error_sum(counts, 1)
         assert exact > 2**63
         expected = math.sqrt(float(exact) / trials)
         assert point_nrmse(cfg, (Scheme.EIG_SUM,), trials, 7)[Scheme.EIG_SUM] == expected
@@ -327,6 +331,9 @@ def fake_pool(monkeypatch):
 
 
 class TestCollectEstimates:
+    """The per-trial oracle ``reference.collect_estimates``, and runs whose worker
+    count changes no row."""
+
     def test_reproducible(self):
         a = collect_estimates(BASE_CFG, ALL_SCHEMES, 60, seed=5)
         b = collect_estimates(BASE_CFG, ALL_SCHEMES, 60, seed=5)
@@ -348,21 +355,21 @@ class TestCollectEstimates:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_does_not_change_results(self, workers):
-        """Chunked parallel execution must agree with the serial loop trial by trial."""
-        serial = collect_estimates(BASE_CFG, ALL_SCHEMES, 101, seed=9)
-        parallel = collect_estimates(BASE_CFG, ALL_SCHEMES, 101, seed=9, workers=workers)
-        for scheme in ALL_SCHEMES:
-            np.testing.assert_array_equal(serial[scheme], parallel[scheme])
+        """A run asked for several workers gives the serial rows bit for bit."""
+        serial = point_nrmse(BASE_CFG, ALL_SCHEMES, 101, seed=9)
+        assert point_nrmse(BASE_CFG, ALL_SCHEMES, 101, seed=9, workers=workers) == serial
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_over_several_blocks_matches_serial(self, workers):
-        """Four blocks, the last one short, split over a real process pool."""
+        """Four blocks, the last one short, split over a real process pool: the
+        rows are the serial ones, and those score the oracle's counts."""
         trials = 3 * BLOCK + 17
-        serial = collect_estimates(BASE_CFG, ALL_SCHEMES, trials, seed=9)
-        parallel = collect_estimates(BASE_CFG, ALL_SCHEMES, trials, seed=9, workers=workers)
+        serial = point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=9)
+        assert point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=9, workers=workers) == serial
+        counts = collect_estimates(BASE_CFG, ALL_SCHEMES, trials, seed=9)
         for scheme in ALL_SCHEMES:
-            assert serial[scheme].shape == (trials,)
-            np.testing.assert_array_equal(serial[scheme], parallel[scheme])
+            assert counts[scheme].shape == (trials,)
+            assert serial[scheme] == nrmse(counts[scheme], BASE_CFG.k_active)
 
     @pytest.mark.parametrize(
         "trials,workers,cpus,expected",
@@ -386,16 +393,15 @@ class TestCollectEstimates:
         and an unknown cpu count."""
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, cpus, None if cpus is None else 4 * cpus)
-        out = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12, workers=workers)
+        out = point_nrmse(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12, workers=workers)
         assert pools == ([] if expected is None else [expected])
-        serial = collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12)
-        np.testing.assert_array_equal(out[Scheme.ORTHOGONAL], serial[Scheme.ORTHOGONAL])
+        assert out == point_nrmse(BASE_CFG, (Scheme.ORTHOGONAL,), trials, seed=12)
 
     def test_worker_clamp_without_affinity_call(self, monkeypatch):
         """Where the platform has no ``os.sched_getaffinity``, the cpu count binds."""
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, None, 2)
-        collect_estimates(BASE_CFG, (Scheme.ORTHOGONAL,), 20_000, seed=12, workers=64)
+        point_nrmse(BASE_CFG, (Scheme.ORTHOGONAL,), 20_000, seed=12, workers=64)
         assert pools == [2]
 
     def test_sweep_starts_one_pool(self, monkeypatch):
@@ -433,9 +439,8 @@ class TestCollectEstimates:
         point_nrmse(BASE_CFG, ALL_SCHEMES, 3 * BLOCK, seed=1)
 
     def test_more_workers_than_trials(self):
-        serial = collect_estimates(BASE_CFG, (Scheme.MLE,), 3, seed=10)
-        parallel = collect_estimates(BASE_CFG, (Scheme.MLE,), 3, seed=10, workers=8)
-        np.testing.assert_array_equal(serial[Scheme.MLE], parallel[Scheme.MLE])
+        serial = point_nrmse(BASE_CFG, (Scheme.MLE,), 3, seed=10)
+        assert point_nrmse(BASE_CFG, (Scheme.MLE,), 3, seed=10, workers=8) == serial
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -456,6 +461,42 @@ class TestCollectEstimates:
         cfg = dataclasses.replace(BASE_CFG, k_active=0)
         with pytest.raises(ValueError, match="k_active must be >= 1"):
             collect_estimates(cfg, (Scheme.MLE,), 10, seed=1)
+
+
+class TestTotalsMatchOracle:
+    """The runner's exact squared-error sums equal, at every point, those of the
+    per-trial counts that ``reference.collect_estimates`` forms block by block,
+    without passes, phasor groups or a pool.  Blocks of K <= 16 are phased in
+    groups and blocks of K >= 17 alone; 1, 257 and 769 trials give a lone
+    one-slot block, a one-slot last block and a short last block."""
+
+    SWEEPS = [
+        *((SweepAxis.NONE, (), k) for k in (1, 2, 16, 17, 25, 45)),
+        (SweepAxis.ANTENNAS, (8.0, 1.0, 8.0, 32.0), 2),
+        (SweepAxis.ACTIVE_USERS, (1.0, 2.0, 16.0, 17.0, 25.0, 45.0), 25),
+        (SweepAxis.EPSILON_MAX, (0.0, 0.15, 0.3), 16),
+    ]
+
+    @pytest.mark.parametrize("trials", [1, 257, 769])
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    @pytest.mark.parametrize("axis,values,k", SWEEPS)
+    def test_sums_equal_oracle(self, monkeypatch, axis, values, k, kind, trials):
+        base = dataclasses.replace(BASE_CFG, k_active=k, cfo=CfoModel(kind, 0.15))
+        config = small_config(base=base, sweep=SweepSpec(axis, values), trials=trials, master_seed=trials + k)
+        oracle = [collect_estimates(cfg, config.schemes, trials, config.master_seed) for cfg in config.points]
+        expected = [
+            [squared_error_sum(point[scheme], cfg.k_active) for cfg, point in zip(config.points, oracle)]
+            for scheme in config.schemes
+        ]
+        pools = fake_pool(monkeypatch)
+        limit_cpus(monkeypatch, 64, 64)
+        alphas = harness._alphas(config)
+        for pass_blocks, workers in itertools.product((1, 3, 32), (1, 2)):
+            monkeypatch.setattr(harness, "PASS_BLOCKS", pass_blocks)
+            sums = harness._evaluate(config, alphas, workers).tolist()
+            assert sums == expected, (pass_blocks, workers)
+            assert all(type(total) is int for row in sums for total in row)
+        assert pools == ([2] * 3 if trials > BLOCK else [])
 
 
 class TestRunPoint:

@@ -360,6 +360,11 @@ def _same_bytes(a, b):
     return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+def _slots(draws, start, stop):
+    """Views of slots ``start`` up to ``stop`` of ``draws``; filling them fills ``draws``."""
+    return WishartDraws(*(a[..., start:stop] for a in draws))
+
+
 class TestDrawWishart:
     """Stream 0.4.0: configurations that share the CFO kind share one block's draws,
     all but the gammas, which depend on M."""
@@ -502,7 +507,7 @@ class TestGroupedBlocks:
         draw_wishart(cfgs, self._streams(blocks, seed), grouped, self.BLOCK)
         alone = WishartDraws.empty(len(cfgs), trials)
         for b, rng in enumerate(self._streams(blocks, seed)):
-            part = alone.part(b * self.BLOCK, min((b + 1) * self.BLOCK, trials))
+            part = _slots(alone, b * self.BLOCK, min((b + 1) * self.BLOCK, trials))
             draw_wishart(cfgs, [rng], part, self.BLOCK)
         assert _same_bytes(grouped, alone)
 
@@ -514,7 +519,7 @@ class TestGroupedBlocks:
         draw_wishart([cfg], self._streams(5, 7560), grouped, 1)
         alone = WishartDraws.empty(1, 5)
         for b, rng in enumerate(self._streams(5, 7560)):
-            draw_wishart([cfg], [rng], alone.part(b, b + 1), 1)
+            draw_wishart([cfg], [rng], _slots(alone, b, b + 1), 1)
         assert _same_bytes(grouped, alone)
 
     def test_groups_hold_at_most_group_draws(self, monkeypatch):

@@ -26,10 +26,10 @@ from auesim.harness import (
     ExperimentConfig,
     SweepAxis,
     SweepSpec,
-    collect_estimates,
     run_sweep,
 )
 from auesim.model import CfoKind, CfoModel, SystemConfig
+from auesim.reference import collect_estimates
 
 PROFILE = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
