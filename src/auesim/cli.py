@@ -26,7 +26,6 @@ from .harness import (
     DEFAULT_TRIALS,
     ExperimentConfig,
     SweepAxis,
-    SweepSpec,
     run_sweep,
     snr_db_to_noise_variance,
     write_csv,
@@ -223,16 +222,13 @@ def _build_config(args: dict[str, Any]) -> ExperimentConfig:
         noise_variance=snr_db_to_noise_variance(args["snr_db"]),
         cfo=cfo,
     )
-    if args["command"] == "sweep":
-        spec = SweepSpec(axis=SweepAxis(args["axis"]), values=args["values"])
-    else:
-        spec = SweepSpec.single_point()
     return ExperimentConfig(
         base=base,
         schemes=args["schemes"],
         trials=args["trials"],
         master_seed=args["seed"],
-        sweep=spec,
+        axis=SweepAxis(args.get("axis", SweepAxis.NONE.value)),
+        values=args.get("values", ()),
         emit_theory=args["theory"],
     )
 

@@ -1,8 +1,11 @@
 """Seeded Monte Carlo runner: NRMSE of the counting schemes along one system axis.
 
-An ``ExperimentConfig`` describes a run and is checked, point by point,
-when it is built; ``run_sweep`` turns it into ``SweepRow`` results, and a
-single point is a sweep of one.
+An ``ExperimentConfig`` is the one record a run reads: a base
+configuration, the schemes, trials and seed, and at most one swept axis
+with its values.  It is checked, point by point, when it is built, and
+holds the configuration and alpha of every point; ``run_sweep`` checks
+that every scheme is defined at each alpha and turns the record into
+``SweepRow`` results.  A single point is a sweep of one.
 
 Reproducibility contract (stream 0.4.0): the trials of a point are cut into
 fixed blocks of ``BLOCK`` consecutive trials, the last one short.  Block
@@ -45,7 +48,7 @@ import math
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -93,53 +96,25 @@ _INTEGER_AXES = frozenset({SweepAxis.ANTENNAS, SweepAxis.ACTIVE_USERS})
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Axis and ordered values of one sweep; ``NONE`` with no values is a single point.
-
-    Only the shape of the values is checked here: their number, that they
-    are finite, and that the M and K axes take integers.  Whether a value is
-    in range for its axis is checked by the configuration it builds.
-    """
-
-    axis: SweepAxis
-    values: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if self.axis is SweepAxis.NONE:
-            if values:
-                raise ValueError("axis 'none' takes no sweep values")
-            return
-        if not values:
-            raise ValueError(f"axis '{self.axis.value}' needs at least one value")
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError(f"sweep values must be finite, got {v}")
-            if self.axis in _INTEGER_AXES and not v.is_integer():
-                raise ValueError(f"axis '{self.axis.value}' takes integer values, got {v}")
-
-    @classmethod
-    def single_point(cls) -> "SweepSpec":
-        return cls(axis=SweepAxis.NONE)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment; results are a pure function of it.
 
     This is the one request the runners take, and building it checks all of
-    it: the schemes, trials and seed, and the configuration of every point,
-    which ``points`` holds in sweep order.  A single point is a sweep of one.
-    ``schemes`` is an ordered tuple rather than a set: output rows follow it,
-    and a canonical order is what makes repeated runs byte-identical.
+    it: the schemes, trials and seed, the shape of the sweep values (their
+    number, that they are finite, and that the M and K axes take integers),
+    and the configuration of every point, which ``points`` holds in sweep
+    order.  ``axis`` ``NONE`` with no values is a single point, a sweep of
+    one.  ``schemes`` is an ordered tuple rather than a set: output rows
+    follow it, and a canonical order is what makes repeated runs
+    byte-identical.
     """
 
     base: SystemConfig
     schemes: tuple[Scheme, ...]
     trials: int = DEFAULT_TRIALS
     master_seed: int = 0
-    sweep: SweepSpec = SweepSpec.single_point()
+    axis: SweepAxis = SweepAxis.NONE
+    values: tuple[float, ...] = ()
     emit_theory: bool = False
 
     def __post_init__(self) -> None:
@@ -151,6 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"schemes must be Scheme members, got {schemes}")
         if len(set(schemes)) != len(schemes):
             raise ValueError(f"duplicate schemes in {tuple(s.value for s in schemes)}")
+        for name in ("trials", "master_seed"):
+            object.__setattr__(self, name, model.as_int(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
@@ -158,6 +135,17 @@ class ExperimentConfig:
         if self.base.n_potential > MAX_POPULATION:
             raise ValueError(f"population size {self.base.n_potential} exceeds MAX_POPULATION = "
                              f"{MAX_POPULATION}, the largest whose error sums stay exact in int64")
+        values = tuple(float(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        if self.axis is SweepAxis.NONE and values:
+            raise ValueError("axis 'none' takes no sweep values")
+        if self.axis is not SweepAxis.NONE and not values:
+            raise ValueError(f"axis '{self.axis.value}' needs at least one value")
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"sweep values must be finite, got {v}")
+            if self.axis in _INTEGER_AXES and not v.is_integer():
+                raise ValueError(f"axis '{self.axis.value}' takes integer values, got {v}")
         for cfg in self.points:
             if cfg.k_active < 1:
                 raise ValueError(
@@ -167,12 +155,17 @@ class ExperimentConfig:
     @property
     def axis_values(self) -> tuple[float | None, ...]:
         """The sweep values, or ``(None,)`` for a single point."""
-        return self.sweep.values or (None,)
+        return self.values or (None,)
 
     @functools.cached_property
     def points(self) -> tuple[SystemConfig, ...]:
         """The configuration of every point, in the order of ``axis_values``."""
-        return tuple(apply_axis_value(self.base, self.sweep.axis, v) for v in self.axis_values)
+        return tuple(apply_axis_value(self.base, self.axis, v) for v in self.axis_values)
+
+    @functools.cached_property
+    def alphas(self) -> tuple[float, ...]:
+        """The characteristic function alpha of every point's offset model, in the order of ``points``."""
+        return tuple(characteristic_function(cfg.cfo) for cfg in self.points)
 
 
 @dataclass(frozen=True)
@@ -225,23 +218,19 @@ def _nrmse_of_sum(squared_sum: int, trials: int, k_true: int) -> float:
     return math.sqrt(float(squared_sum) / trials) / k_true
 
 
-def _alphas(config: ExperimentConfig) -> list[float]:
-    """The alpha of every point, once every scheme is known to be defined there.
+def _check_domain(config: ExperimentConfig) -> None:
+    """Raise ``EstimatorDomainError``, naming the point, where a scheme is undefined.
 
     This check belongs to the run, not to the configuration: an undefined
     scheme is an ``EstimatorDomainError``, which callers tell apart from a
     bad configuration.
     """
-    alphas = []
-    for value, cfg in zip(config.axis_values, config.points):
-        alpha = characteristic_function(cfg.cfo)
+    for value, alpha in zip(config.axis_values, config.alphas):
         try:
             check_domain(config.schemes, alpha)
         except EstimatorDomainError as exc:
-            where = "single point" if value is None else f"{config.sweep.axis.value} = {value}"
+            where = "single point" if value is None else f"{config.axis.value} = {value}"
             raise EstimatorDomainError(f"{where}: {exc}") from exc
-        alphas.append(alpha)
-    return alphas
 
 
 def _per_point(values: list):
@@ -251,9 +240,7 @@ def _per_point(values: list):
     return np.array(values)[:, None]
 
 
-def _evaluate_pass(
-    config: ExperimentConfig, alphas: Sequence[float], points: range, blocks: range
-) -> np.ndarray:
+def _evaluate_pass(config: ExperimentConfig, points: range, blocks: range) -> np.ndarray:
     """Squared-error sums of ``points`` over the trials of ``blocks``.
 
     Every block draws all the pass's points at once, into its columns of
@@ -274,7 +261,7 @@ def _evaluate_pass(
     cov = model.bartlett_covariance(draws, k_active, m_antennas, noise_variance)
     ctx = EstimatorContext(
         noise_variance=noise_variance,
-        alpha=_per_point([alphas[p] for p in points]),
+        alpha=_per_point([config.alphas[p] for p in points]),
         # no sweep axis changes the population size
         n_potential=config.base.n_potential,
     )
@@ -283,7 +270,7 @@ def _evaluate_pass(
     return errors.sum(axis=-1)
 
 
-def _evaluate_blocks(config: ExperimentConfig, alphas: Sequence[float], blocks: range) -> np.ndarray:
+def _evaluate_blocks(config: ExperimentConfig, blocks: range) -> np.ndarray:
     """Every point over ``blocks``, in passes of at most ``PASS_BLOCKS`` (block, point) units.
 
     A pass is a rectangle: a run of up to ``PASS_BLOCKS`` consecutive points
@@ -297,7 +284,7 @@ def _evaluate_blocks(config: ExperimentConfig, alphas: Sequence[float], blocks: 
         covered = points[lo : lo + PASS_BLOCKS]
         depth = PASS_BLOCKS // len(covered)
         for first in range(0, len(blocks), depth):
-            pass_sums = _evaluate_pass(config, alphas, covered, blocks[first : first + depth])
+            pass_sums = _evaluate_pass(config, covered, blocks[first : first + depth])
             sums[:, lo : lo + PASS_BLOCKS] += pass_sums.astype(object)
     return sums
 
@@ -311,7 +298,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _evaluate(config: ExperimentConfig, alphas: Sequence[float], workers: int) -> np.ndarray:
+def _evaluate(config: ExperimentConfig, workers: int) -> np.ndarray:
     """``_evaluate_blocks`` over every block of ``config``, on at most ``workers`` processes.
 
     At most ``min(workers, blocks, usable CPUs)`` processes run, in one pool,
@@ -322,15 +309,13 @@ def _evaluate(config: ExperimentConfig, alphas: Sequence[float], workers: int) -
     if workers > 1:
         workers = min(workers, blocks, _usable_cpus())
     if workers <= 1:
-        return _evaluate_blocks(config, alphas, range(blocks))
+        return _evaluate_blocks(config, range(blocks))
     # imported here so that serial runs do not pay for the pool machinery at start-up
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [blocks * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_evaluate_blocks, config, alphas, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
-        ]
+        futures = [pool.submit(_evaluate_blocks, config, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
         return sum(future.result() for future in futures)
 
 
@@ -342,12 +327,14 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
     column is attached to eig-sum rows when ``emit_theory`` is set and left
     empty everywhere else.
     """
-    alphas = _alphas(config)
-    sums = _evaluate(config, alphas, workers)
-    axis, trials, seed = config.sweep.axis.value, config.trials, config.master_seed
+    _check_domain(config)
+    sums = _evaluate(config, workers)
+    axis, trials, seed = config.axis.value, config.trials, config.master_seed
     rows: list[SweepRow] = []
     # the sums are Python integers already; tolist hands them over without a numpy round trip
-    for value, cfg, alpha, point_sums in zip(config.axis_values, config.points, alphas, sums.T.tolist()):
+    for value, cfg, alpha, point_sums in zip(
+        config.axis_values, config.points, config.alphas, sums.T.tolist()
+    ):
         theory_value = None
         if config.emit_theory:
             theory_value = nrmse_eig_sum_theory(cfg.k_active, cfg.m_antennas, cfg.noise_variance, alpha)
@@ -371,25 +358,7 @@ def _format_axis_value(value: float | None) -> str:
     return str(int(v)) if v.is_integer() else _format_float(v)
 
 
-def _with_shared_fields(
-    rows: Iterable[SweepRow], point_text: Callable[[str, float | None], str], run_text: str
-) -> Iterator[tuple[SweepRow, str, str]]:
-    """Each row with the text of the fields its point shares, axis and axis
-    value, from ``point_text(axis, axis_value)``, and of those its run shares,
-    ``run_text % (trials, seed)``; each text is formatted once, not per row."""
-    points: dict[tuple, str] = {}
-    runs: dict[tuple, str] = {}
-    for row in rows:
-        point, run = (row.axis, row.axis_value), (row.trials, row.seed)
-        head = points.get(point)
-        if head is None:
-            head = points[point] = point_text(*point)
-        tail = runs.get(run)
-        if tail is None:
-            tail = runs[run] = run_text % run
-        yield row, head, tail
-
-
+@functools.lru_cache(maxsize=1024)
 def _csv_point(axis: str, axis_value: float | None) -> str:
     return f"{axis},{_format_axis_value(axis_value)},"
 
@@ -402,9 +371,12 @@ def write_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     every other field is a formatted number.
     """
     lines = [",".join(CSV_HEADER) + "\n"]
-    for row, head, tail in _with_shared_fields(rows, _csv_point, ",%d,%d\n"):
+    for row in rows:
         theory = "" if row.nrmse_theory is None else _format_float(row.nrmse_theory)
-        lines.append(f"{head}{row.scheme.value},{_format_float(row.nrmse_sim)},{theory}{tail}")
+        lines.append(
+            f"{_csv_point(row.axis, row.axis_value)}{row.scheme.value},{_format_float(row.nrmse_sim)},"
+            f"{theory},{row.trials},{row.seed}\n"
+        )
     stream.write("".join(lines))
 
 
@@ -427,6 +399,7 @@ def _json_axis_value(value: float | None) -> str:
     return str(int(v)) if v.is_integer() else _json_float(v)
 
 
+@functools.lru_cache(maxsize=1024)
 def _json_point(axis: str, axis_value: float | None) -> str:
     # the start of an object at the indent of ``json.dumps(rows, indent=2)``
     return '  {\n    "axis": %s,\n    "axis_value": %s,\n    "scheme": ' % (
@@ -443,10 +416,11 @@ def write_json(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     as an integer and a missing one as null.
     """
     objects = []
-    for row, head, tail in _with_shared_fields(rows, _json_point, '\n    "trials": %d,\n    "seed": %d\n  }'):
+    for row in rows:
         theory = "null" if row.nrmse_theory is None else _json_float(row.nrmse_theory)
         objects.append(
-            f'{head}{_JSON_SCHEME[row.scheme]},\n    "nrmse_sim": {_json_float(row.nrmse_sim)},\n'
-            f'    "nrmse_theory": {theory},{tail}'
+            f'{_json_point(row.axis, row.axis_value)}{_JSON_SCHEME[row.scheme]},\n'
+            f'    "nrmse_sim": {_json_float(row.nrmse_sim)},\n    "nrmse_theory": {theory},\n'
+            f'    "trials": {row.trials},\n    "seed": {row.seed}\n  }}'
         )
     stream.write("[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -63,6 +64,14 @@ MAX_NOISE_VARIANCE = 1e150
 # reduction in _unit_phasors stops being exact, for any Gaussian draw under
 # a million standard deviations
 MAX_EPSILON = 1e6
+
+
+def as_int(name: str, value: object) -> int:
+    """``value`` as a Python int, for a Python or numpy integer; ``ValueError`` for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class CfoKind(enum.Enum):
@@ -125,6 +134,8 @@ class SystemConfig:
     cfo: CfoModel
 
     def __post_init__(self) -> None:
+        for name in ("n_potential", "k_active", "m_antennas"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.n_potential < 1:
             raise ValueError(f"n_potential must be >= 1, got {self.n_potential}")
         if not 0 <= self.k_active <= self.n_potential:

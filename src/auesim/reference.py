@@ -19,7 +19,7 @@ import numpy as np
 from . import model
 from .covariance import check_entries
 from .estimators import EstimatorContext, Scheme, estimate_counts
-from .harness import BLOCK, ExperimentConfig, _alphas, _nrmse_of_sum
+from .harness import BLOCK, ExperimentConfig, _check_domain, _nrmse_of_sum
 from .model import CfoKind, CfoModel, SystemConfig
 from .theory import _check_power
 
@@ -245,7 +245,8 @@ def collect_estimates(
     ``run_sweep`` sums, reached by another route.
     """
     config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
-    ctx = EstimatorContext(cfg.noise_variance, _alphas(config)[0], cfg.n_potential)
+    _check_domain(config)
+    ctx = EstimatorContext(cfg.noise_variance, config.alphas[0], cfg.n_potential)
     counts = []
     for block, lo in enumerate(range(0, trials, BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))

@@ -26,7 +26,6 @@ from auesim.estimators import (
 from auesim.harness import (
     ExperimentConfig,
     SweepAxis,
-    SweepSpec,
     run_sweep,
     write_csv,
 )
@@ -110,7 +109,7 @@ def test_criterion_2_antenna_scaling():
         schemes=(Scheme.EIG_SUM,),
         trials=TRIALS,
         master_seed=202,
-        sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(16.0, 32.0, 64.0, 128.0)),
+        axis=SweepAxis.ANTENNAS, values=(16.0, 32.0, 64.0, 128.0),
         emit_theory=True,
     )
     rows = run_sweep(config)
@@ -318,7 +317,7 @@ def test_criterion_8_robustness_to_active_count():
         schemes=(Scheme.EIG_SUM,),
         trials=TRIALS,
         master_seed=808,
-        sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 15.0, 25.0, 35.0, 45.0)),
+        axis=SweepAxis.ACTIVE_USERS, values=(5.0, 15.0, 25.0, 35.0, 45.0),
         emit_theory=True,
     )
     rows = run_sweep(config)
@@ -341,7 +340,7 @@ def test_criterion_9_byte_identical_csv():
             schemes=ALL_SCHEMES,
             trials=trials,
             master_seed=909,
-            sweep=SweepSpec(axis=axis, values=values),
+            axis=axis, values=values,
             emit_theory=True,
         )
         per_axis = []

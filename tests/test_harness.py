@@ -25,7 +25,6 @@ from auesim.harness import (
     ExperimentConfig,
     SweepAxis,
     SweepRow,
-    SweepSpec,
     apply_axis_value,
     run_sweep,
     snr_db_to_noise_variance,
@@ -52,7 +51,7 @@ def small_config(**overrides):
         schemes=ALL_SCHEMES,
         trials=40,
         master_seed=7,
-        sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(8.0, 16.0)),
+        axis=SweepAxis.ANTENNAS, values=(8.0, 16.0),
         emit_theory=True,
     )
     fields.update(overrides)
@@ -229,7 +228,7 @@ class TestSharedDraws:
     )
     def test_sweep_draws_each_block_once(self, monkeypatch, axis, values):
         calls = record_draws(monkeypatch)
-        config = small_config(sweep=SweepSpec(axis=axis, values=values), trials=2 * BLOCK + 50)
+        config = small_config(axis=axis, values=values, trials=2 * BLOCK + 50)
         run_sweep(config)
         # one pass: a call takes the generators of all its blocks
         assert len(calls) == 1
@@ -243,7 +242,7 @@ class TestSharedDraws:
         """One call per block covers every M point, repeated M included."""
         calls = record_draws(monkeypatch)
         values = (1.0, 2.0, 8.0, 2.0)
-        run_sweep(small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=values), trials=BLOCK + 9))
+        run_sweep(small_config(axis=SweepAxis.ANTENNAS, values=values, trials=BLOCK + 9))
         assert seed_keys(calls) == [(7, (0,)), (7, (1,))]
         assert [[cfg.m_antennas for cfg in cfgs] for cfgs, _, _, _ in calls] == [[1, 2, 8, 2]]
         assert [out.g.shape for _, _, out, _ in calls] == [(4, BLOCK + 9)]
@@ -264,11 +263,11 @@ class TestSharedDraws:
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, 64, 64)
         for axis, values, trials in sweeps:
-            config = small_config(sweep=SweepSpec(axis=axis, values=values), trials=trials)
+            config = small_config(axis=axis, values=values, trials=trials)
             expected = tuple(
                 dataclasses.replace(row, axis=axis.value, axis_value=value)
                 for value, cfg in zip(config.axis_values, config.points)
-                for row in run_sweep(dataclasses.replace(config, base=cfg, sweep=SweepSpec.single_point()))
+                for row in run_sweep(dataclasses.replace(config, base=cfg, axis=SweepAxis.NONE, values=()))
             )
             pools.clear()
             for pass_blocks, workers, chunk in itertools.product((1, 2, 3, 32), (1, 2), (1, 2**20)):
@@ -281,7 +280,7 @@ class TestSharedDraws:
         """An M point drawn apart from the rest of its block, in another pass or
         worker, gets the same gammas, normals and offsets."""
         config = small_config(
-            sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(8.0, 1.0, 8.0, 32.0)),
+            axis=SweepAxis.ANTENNAS, values=(8.0, 1.0, 8.0, 32.0),
             trials=2 * BLOCK + 5,
         )
         expected = run_sweep(config)
@@ -410,7 +409,7 @@ class TestCollectEstimates:
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, 64, 64)
         config = small_config(
-            sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0)), trials=2 * BLOCK + 5
+            axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0), trials=2 * BLOCK + 5
         )
         pooled = run_sweep(config, workers=10_000)
         assert pools == [3]
@@ -422,7 +421,7 @@ class TestCollectEstimates:
         however many points and workers it has."""
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, 64, 64)
-        config = small_config(sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0)))
+        config = small_config(axis=SweepAxis.ANTENNAS, values=(4.0, 8.0, 16.0))
         assert config.trials <= BLOCK
         pooled = run_sweep(config, workers=10_000)
         assert pools == []
@@ -482,7 +481,7 @@ class TestTotalsMatchOracle:
     @pytest.mark.parametrize("axis,values,k", SWEEPS)
     def test_sums_equal_oracle(self, monkeypatch, axis, values, k, kind, trials):
         base = dataclasses.replace(BASE_CFG, k_active=k, cfo=CfoModel(kind, 0.15))
-        config = small_config(base=base, sweep=SweepSpec(axis, values), trials=trials, master_seed=trials + k)
+        config = small_config(base=base, axis=axis, values=values, trials=trials, master_seed=trials + k)
         oracle = [collect_estimates(cfg, config.schemes, trials, config.master_seed) for cfg in config.points]
         expected = [
             [squared_error_sum(point[scheme], cfg.k_active) for cfg, point in zip(config.points, oracle)]
@@ -490,10 +489,9 @@ class TestTotalsMatchOracle:
         ]
         pools = fake_pool(monkeypatch)
         limit_cpus(monkeypatch, 64, 64)
-        alphas = harness._alphas(config)
         for pass_blocks, workers in itertools.product((1, 3, 32), (1, 2)):
             monkeypatch.setattr(harness, "PASS_BLOCKS", pass_blocks)
-            sums = harness._evaluate(config, alphas, workers).tolist()
+            sums = harness._evaluate(config, workers).tolist()
             assert sums == expected, (pass_blocks, workers)
             assert all(type(total) is int for row in sums for total in row)
         assert pools == ([2] * 3 if trials > BLOCK else [])
@@ -603,30 +601,29 @@ class TestApplyAxisValue:
             snr_db_to_noise_variance(math.nan)
 
 
-class TestSweepSpec:
+class TestExperimentConfig:
     def test_single_point_takes_no_values(self):
-        assert SweepSpec.single_point().values == ()
-        with pytest.raises(ValueError):
-            SweepSpec(axis=SweepAxis.NONE, values=(1.0,))
+        assert ExperimentConfig(base=BASE_CFG, schemes=ALL_SCHEMES).values == ()
+        assert small_config(axis=SweepAxis.NONE, values=()).values == ()
+        with pytest.raises(ValueError, match="axis 'none' takes no sweep values"):
+            small_config(axis=SweepAxis.NONE, values=(1.0,))
 
     def test_axes_need_values(self):
-        with pytest.raises(ValueError):
-            SweepSpec(axis=SweepAxis.ANTENNAS, values=())
+        with pytest.raises(ValueError, match="axis 'm' needs at least one value"):
+            small_config(axis=SweepAxis.ANTENNAS, values=())
 
     @pytest.mark.parametrize(
-        "axis,value",
+        "axis,value,message",
         [
-            (SweepAxis.ANTENNAS, 2.5),
-            (SweepAxis.ACTIVE_USERS, 7.5),
-            (SweepAxis.SNR_DB, math.inf),
+            (SweepAxis.ANTENNAS, 2.5, "axis 'm' takes integer values, got 2.5"),
+            (SweepAxis.ACTIVE_USERS, 7.5, "axis 'k' takes integer values, got 7.5"),
+            (SweepAxis.SNR_DB, math.inf, "sweep values must be finite, got inf"),
         ],
     )
-    def test_rejects_bad_values(self, axis, value):
-        with pytest.raises(ValueError):
-            SweepSpec(axis=axis, values=(value,))
+    def test_rejects_bad_value_shapes(self, axis, value, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(axis=axis, values=(value,))
 
-
-class TestExperimentConfig:
     def test_rejects_duplicate_schemes(self):
         with pytest.raises(ValueError):
             small_config(schemes=(Scheme.MLE, Scheme.MLE))
@@ -643,12 +640,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(master_seed=2**64)
 
+    @pytest.mark.parametrize("field,value", [("trials", 300.5), ("master_seed", 1.5)])
+    def test_rejects_non_integer_counts(self, field, value):
+        """A float count fails at construction, not from ``range`` or ``SeedSequence`` mid-run."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            small_config(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        config = small_config(trials=np.int64(40), master_seed=np.uint64(7))
+        assert type(config.trials) is int and type(config.master_seed) is int
+        assert run_sweep(config) == run_sweep(small_config())
+
     def test_rejects_zero_active_users(self):
         base = SystemConfig(
             n_potential=10, k_active=0, m_antennas=4, noise_variance=0.1, cfo=CfoModel.uniform(0.0)
         )
         with pytest.raises(ValueError):
-            small_config(base=base, sweep=SweepSpec.single_point())
+            small_config(base=base, axis=SweepAxis.NONE, values=())
 
     @pytest.mark.parametrize(
         "axis,value",
@@ -657,30 +665,60 @@ class TestExperimentConfig:
     def test_rejects_bad_values(self, axis, value):
         """Out-of-range sweep values fail when the config builds their point."""
         with pytest.raises(ValueError):
-            small_config(sweep=SweepSpec(axis=axis, values=(value,)))
+            small_config(axis=axis, values=(value,))
 
     def test_checks_active_users_at_every_point(self):
         """K >= 1 is required of each point, not of the base: a K sweep replaces the base K."""
         base = dataclasses.replace(BASE_CFG, k_active=0)
-        config = small_config(base=base, sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 10.0)))
+        config = small_config(base=base, axis=SweepAxis.ACTIVE_USERS, values=(5.0, 10.0))
         assert [cfg.k_active for cfg in config.points] == [5, 10]
         with pytest.raises(ValueError, match="k_active must be >= 1"):
-            small_config(sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 0.0)))
+            small_config(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 0.0))
         with pytest.raises(ValueError, match="k_active must be >= 1"):
-            small_config(base=base, sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=(10.0,)))
+            small_config(base=base, axis=SweepAxis.SNR_DB, values=(10.0,))
 
     def test_points_follow_the_sweep(self):
-        config = small_config(sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=(0.0, 10.0)))
+        config = small_config(axis=SweepAxis.SNR_DB, values=(0.0, 10.0))
         assert config.axis_values == (0.0, 10.0)
         assert config.points == tuple(apply_axis_value(BASE_CFG, SweepAxis.SNR_DB, v) for v in (0.0, 10.0))
-        single = small_config(sweep=SweepSpec.single_point())
+        single = small_config(axis=SweepAxis.NONE, values=())
         assert single.axis_values == (None,)
         assert single.points == (BASE_CFG,)
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [
+            (SweepAxis.NONE, ()),
+            (SweepAxis.ANTENNAS, (1.0, 8.0)),
+            (SweepAxis.SNR_DB, (0.0, 10.0)),
+            (SweepAxis.ACTIVE_USERS, (5.0, 25.0)),
+            (SweepAxis.EPSILON_MAX, (0.0, 0.15, 0.5)),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    def test_alphas_follow_the_points(self, axis, values, kind):
+        base = dataclasses.replace(BASE_CFG, cfo=CfoModel(kind, 0.15))
+        config = small_config(base=base, axis=axis, values=values)
+        assert config.alphas == tuple(characteristic_function(cfg.cfo) for cfg in config.points)
+        assert all(type(alpha) is float for alpha in config.alphas)
+
+    def test_undefined_scheme_fails_in_the_run(self):
+        """A point where eig-diff is undefined builds; the runner and the
+        per-trial oracle both refuse it with an error that names the point."""
+        config = small_config(
+            axis=SweepAxis.EPSILON_MAX, values=(0.15, 0.5), schemes=(Scheme.EIG_DIFF,), trials=5
+        )
+        assert config.alphas[1] <= estimators.ALPHA_MIN
+        with pytest.raises(EstimatorDomainError, match="epsilon = 0.5: characteristic function too small"):
+            run_sweep(config)
+        with pytest.raises(EstimatorDomainError, match="single point: characteristic function too small"):
+            collect_estimates(config.points[1], config.schemes, config.trials, config.master_seed)
+        collect_estimates(config.points[0], config.schemes, config.trials, config.master_seed)
 
     def test_rejects_axis_values_invalid_for_base(self):
         """Active-user values above the population must fail at construction."""
         with pytest.raises(ValueError):
-            small_config(sweep=SweepSpec(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 200.0)))
+            small_config(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 200.0))
 
 
 class TestRunSweep:
@@ -703,7 +741,7 @@ class TestRunSweep:
 
     def test_theory_column_tracks_the_point_config(self):
         config = small_config(
-            sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=(0.0, 10.0)),
+            axis=SweepAxis.SNR_DB, values=(0.0, 10.0),
             schemes=(Scheme.EIG_SUM,),
         )
         result = run_sweep(config)
@@ -720,7 +758,7 @@ class TestRunSweep:
         assert all(row.nrmse_theory is None for row in result)
 
     def test_single_point_row(self):
-        config = small_config(sweep=SweepSpec.single_point(), schemes=(Scheme.EIG_SUM,))
+        config = small_config(axis=SweepAxis.NONE, values=(), schemes=(Scheme.EIG_SUM,))
         result = run_sweep(config)
         assert len(result) == 1
         assert result[0].axis == "none"
@@ -736,7 +774,7 @@ class TestRunSweep:
         ]:
             config = small_config(
                 schemes=(Scheme.MLE,), emit_theory=False, trials=BLOCK + 3,
-                sweep=SweepSpec(axis=axis, values=values),
+                axis=axis, values=values,
             )
             result = run_sweep(config)
             for index, value in enumerate(values):
@@ -747,7 +785,7 @@ class TestRunSweep:
     def test_domain_error_names_offending_axis_value(self):
         """eig-diff cannot run where the characteristic function vanishes."""
         config = small_config(
-            sweep=SweepSpec(axis=SweepAxis.EPSILON_MAX, values=(0.15, 0.5)),
+            axis=SweepAxis.EPSILON_MAX, values=(0.15, 0.5),
             schemes=(Scheme.EIG_DIFF,),
             trials=5,
             emit_theory=False,
@@ -797,7 +835,7 @@ class TestStatisticalBehaviour:
             schemes=(Scheme.EIG_SUM,),
             trials=5000,
             master_seed=17,
-            sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=(0.0, 5.0, 10.0, 15.0, 20.0)),
+            axis=SweepAxis.SNR_DB, values=(0.0, 5.0, 10.0, 15.0, 20.0),
         )
         values = [row.nrmse_sim for row in run_sweep(config)]
         high = values[2:]
@@ -809,7 +847,7 @@ class TestStatisticalBehaviour:
             schemes=(Scheme.EIG_SUM,),
             trials=2000,
             master_seed=23,
-            sweep=SweepSpec(axis=SweepAxis.ANTENNAS, values=(16.0, 32.0, 64.0, 128.0)),
+            axis=SweepAxis.ANTENNAS, values=(16.0, 32.0, 64.0, 128.0),
         )
         values = [row.nrmse_sim for row in run_sweep(config)]
         assert all(a > b for a, b in zip(values, values[1:]))

@@ -147,6 +147,21 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(**base)
 
+    @pytest.mark.parametrize(
+        "field,value", [("n_potential", 100.5), ("k_active", 2.5), ("m_antennas", 2.5)]
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        """A float count fails at construction instead of simulating a fractional system."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+            dataclasses.replace(BASE_CFG, **{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = dataclasses.replace(
+            BASE_CFG, n_potential=np.int64(100), k_active=np.int32(25), m_antennas=np.uint8(32)
+        )
+        assert cfg == BASE_CFG
+        assert all(type(v) is int for v in (cfg.n_potential, cfg.k_active, cfg.m_antennas))
+
 
 class TestReceivedPilot:
     def test_row_views(self):

@@ -25,7 +25,6 @@ from auesim.harness import (
     BLOCK,
     ExperimentConfig,
     SweepAxis,
-    SweepSpec,
     run_sweep,
 )
 from auesim.model import CfoKind, CfoModel, SystemConfig
@@ -78,7 +77,7 @@ def test_sweep_rows_finite_and_independent_of_workers_and_passes(
         schemes=tuple(Scheme),
         trials=trials,
         master_seed=seed,
-        sweep=SweepSpec(axis=SweepAxis.SNR_DB, values=tuple(snr_values)),
+        axis=SweepAxis.SNR_DB, values=tuple(snr_values),
         emit_theory=True,
     )
     rows = run_sweep(config)
