@@ -11,8 +11,10 @@ where alpha = E[e^{j omega}] is the characteristic function of the CFO
 distribution evaluated at 1.  The first two are the sum and difference of the
 covariance eigenvalues recentred by their known population offsets; the
 orthogonal scheme correlates the two received symbols directly, and the mle
-scheme is the maximum-likelihood count for the zero-offset model.  The
-``*_statistic`` functions return these real values; the counts round them half
+scheme is the maximum-likelihood count for the zero-offset model.  What sets
+them apart is the side information each reads: eig-sum and mle the known
+noise variance, eig-diff only alpha, orthogonal neither.  ``statistics``
+returns these real values, one branch per scheme; the counts round them half
 away from zero and clamp to the population range [0, n_potential].
 
 Each formula is written once and reads only ``cov.r1``, ``cov.r2`` and
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,43 +50,6 @@ class Scheme(enum.Enum):
 
 class EstimatorDomainError(ValueError):
     """A scheme was evaluated outside the parameter region where it is defined."""
-
-
-@dataclass(frozen=True)
-class EstimatorContext:
-    """Side information shared by the schemes at one operating point.
-
-    ``noise_variance`` and ``alpha`` may instead be arrays with one value per
-    covariance, for a block whose covariances come from several points.
-    ``alpha`` may be any value in [-1, 1] here; the eig-diff scheme itself
-    rejects values at or below ``ALPHA_MIN`` since it divides by alpha.
-    """
-
-    noise_variance: float | np.ndarray
-    alpha: float | np.ndarray
-    n_potential: int
-
-    def __post_init__(self) -> None:
-        noise_low, noise_high = _extremes(self.noise_variance)
-        if not (noise_low >= 0.0 and noise_high < math.inf):
-            raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance}")
-        alpha_low, alpha_high = _extremes(self.alpha)
-        if not (alpha_low >= -1.0 and alpha_high <= 1.0):
-            raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
-        if self.n_potential < 1:
-            raise ValueError(f"n_potential must be >= 1, got {self.n_potential}")
-
-
-def _extremes(value) -> tuple:
-    """The smallest and largest of ``value``'s elements, NaN if there is one;
-    a Python or numpy float is its own extremes, with no array round trip."""
-    if isinstance(value, (int, float)):
-        return value, value
-    values = np.asarray(value)
-    return (
-        np.minimum.reduce(values, axis=None, initial=math.inf),
-        np.maximum.reduce(values, axis=None, initial=-math.inf),
-    )
 
 
 def characteristic_function(cfo: CfoModel) -> float:
@@ -130,34 +94,30 @@ def _require_alpha(alpha) -> None:
         )
 
 
-def eig_sum_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
-    """Half the covariance trace minus the known noise floor."""
-    return 0.5 * (cov.r1 + cov.r2) - ctx.noise_variance
+def statistics(schemes: Sequence[Scheme], cov: CovarianceBlock, noise_variance, alpha) -> np.ndarray:
+    """Raw statistic of every scheme for every covariance in ``cov``, before rounding.
 
+    Row i holds ``schemes[i]``, and all rows read the same entries.
+    ``noise_variance`` (read by eig-sum and mle) and ``alpha`` (read by
+    eig-diff only) are scalars or arrays that broadcast over the entries,
+    for a block whose covariances come from several points.
+    """
+    values = np.empty((len(schemes),) + np.shape(cov.r1))
+    for row, scheme in enumerate(schemes):
+        if scheme is Scheme.EIG_SUM:
+            values[row] = 0.5 * (cov.r1 + cov.r2) - noise_variance
+        elif scheme is Scheme.EIG_DIFF:
+            _require_alpha(alpha)
+            spread = np.sqrt((cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2))
+            values[row] = spread / (2.0 * alpha)
+        elif scheme is Scheme.ORTHOGONAL:
+            values[row] = cov.r12.real
+        elif scheme is Scheme.MLE:
+            values[row] = 0.25 * (cov.r1 + cov.r2 + 2.0 * cov.r12.real) - 0.5 * noise_variance
+        else:
+            raise ValueError(f"not a Scheme: {scheme!r}")
+    return values
 
-def eig_diff_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
-    """Half the eigenvalue spread divided by alpha."""
-    _require_alpha(ctx.alpha)
-    spread = np.sqrt((cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2))
-    return spread / (2.0 * ctx.alpha)
-
-
-def orthogonal_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
-    """Symbol correlation Re(r12), exact in the mean when all offsets are zero."""
-    return cov.r12.real
-
-
-def mle_statistic(cov: CovarianceBlock, ctx: EstimatorContext) -> float | np.ndarray:
-    """Maximum-likelihood count for the zero-offset model, before rounding."""
-    return 0.25 * (cov.r1 + cov.r2 + 2.0 * cov.r12.real) - 0.5 * ctx.noise_variance
-
-
-_STATISTICS = {
-    Scheme.EIG_SUM: eig_sum_statistic,
-    Scheme.EIG_DIFF: eig_diff_statistic,
-    Scheme.ORTHOGONAL: orthogonal_statistic,
-    Scheme.MLE: mle_statistic,
-}
 
 # multiplications per estimate as (per-antenna slope, constant): the M-linear
 # part accumulates the covariance entries each scheme touches, the constant
@@ -177,16 +137,10 @@ def check_domain(schemes: Sequence[Scheme], alpha: float) -> None:
 
 
 def estimate_counts(
-    schemes: Sequence[Scheme], cov: CovarianceBlock, ctx: EstimatorContext
+    schemes: Sequence[Scheme], cov: CovarianceBlock, noise_variance, alpha, n_potential: int
 ) -> np.ndarray:
-    """Integer estimates of every scheme for every covariance in ``cov``, as int64.
-
-    Row i holds ``schemes[i]``; all rows are computed from the same entries.
-    """
-    values = np.empty((len(schemes),) + np.shape(cov.r1))
-    for row, scheme in enumerate(schemes):
-        values[row] = _STATISTICS[scheme](cov, ctx)
-    return _clamped_counts(values, ctx.n_potential)
+    """``statistics`` rounded half away from zero and clamped to [0, n_potential], as int64."""
+    return _clamped_counts(statistics(schemes, cov, noise_variance, alpha), n_potential)
 
 
 def multiplication_count(scheme: Scheme, m_antennas: int) -> int:

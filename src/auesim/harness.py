@@ -53,14 +53,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import model
-from .estimators import (
-    EstimatorContext,
-    EstimatorDomainError,
-    Scheme,
-    characteristic_function,
-    check_domain,
-    estimate_counts,
-)
+from .estimators import EstimatorDomainError, Scheme, characteristic_function, check_domain, estimate_counts
 from .model import CfoModel, SystemConfig
 from .theory import nrmse_eig_sum_theory
 
@@ -135,7 +128,10 @@ class ExperimentConfig:
         if self.base.n_potential > MAX_POPULATION:
             raise ValueError(f"population size {self.base.n_potential} exceeds MAX_POPULATION = "
                              f"{MAX_POPULATION}, the largest whose error sums stay exact in int64")
-        values = tuple(float(v) for v in self.values)
+        try:
+            values = tuple(float(v) for v in self.values)
+        except OverflowError:
+            raise ValueError("sweep values must be finite, got an integer past the float range") from None
         object.__setattr__(self, "values", values)
         if self.axis is SweepAxis.NONE and values:
             raise ValueError("axis 'none' takes no sweep values")
@@ -183,6 +179,10 @@ class SweepRow:
 
 def snr_db_to_noise_variance(snr_db: float) -> float:
     """Noise power at unit per-user receive power: sigma_z^2 = 10^(-SNR/10)."""
+    try:
+        snr_db = float(snr_db)
+    except OverflowError:
+        raise ValueError("snr_db must be finite, got an integer past the float range") from None
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     try:
@@ -259,13 +259,9 @@ def _evaluate_pass(config: ExperimentConfig, points: range, blocks: range) -> np
     noise_variance = _per_point([cfg.noise_variance for cfg in cfgs])
     m_antennas = _per_point([cfg.m_antennas for cfg in cfgs])
     cov = model.bartlett_covariance(draws, k_active, m_antennas, noise_variance)
-    ctx = EstimatorContext(
-        noise_variance=noise_variance,
-        alpha=_per_point([config.alphas[p] for p in points]),
-        # no sweep axis changes the population size
-        n_potential=config.base.n_potential,
-    )
-    errors = estimate_counts(config.schemes, cov, ctx) - k_active
+    alpha = _per_point([config.alphas[p] for p in points])
+    # no sweep axis changes the population size
+    errors = estimate_counts(config.schemes, cov, noise_variance, alpha, config.base.n_potential) - k_active
     errors *= errors
     return errors.sum(axis=-1)
 
@@ -327,6 +323,7 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
     column is attached to eig-sum rows when ``emit_theory`` is set and left
     empty everywhere else.
     """
+    workers = model.as_int("workers", workers)
     _check_domain(config)
     sums = _evaluate(config, workers)
     axis, trials, seed = config.axis.value, config.trials, config.master_seed

@@ -89,13 +89,16 @@ class CfoModel:
     ``GAUSSIAN`` draws omega from N(0, (2*pi*epsilon_max / 3)^2), untruncated,
     so the nominal worst case sits at three standard deviations.
     ``epsilon_max = 0`` pins every offset to zero under either kind, and
-    values above ``MAX_EPSILON`` are rejected.
+    values above ``MAX_EPSILON`` are rejected.  ``kind`` may be given by its
+    CLI spelling and is stored as the ``CfoKind`` member.
     """
 
     kind: CfoKind
     epsilon_max: float = 0.0
 
     def __post_init__(self) -> None:
+        # every reader tests the member by identity, so a spelling must not survive
+        object.__setattr__(self, "kind", CfoKind(self.kind))
         if not 0.0 <= self.epsilon_max <= MAX_EPSILON:
             raise ValueError(f"epsilon_max must lie in [0, {MAX_EPSILON:g}], got {self.epsilon_max}")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model
 from .covariance import check_entries
-from .estimators import EstimatorContext, Scheme, estimate_counts
+from .estimators import Scheme, estimate_counts
 from .harness import BLOCK, ExperimentConfig, _check_domain, _nrmse_of_sum
 from .model import CfoKind, CfoModel, SystemConfig
 from .theory import _check_power
@@ -246,12 +246,12 @@ def collect_estimates(
     """
     config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
     _check_domain(config)
-    ctx = EstimatorContext(cfg.noise_variance, config.alphas[0], cfg.n_potential)
+    alpha = config.alphas[0]
     counts = []
     for block, lo in enumerate(range(0, trials, BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         draws = model.WishartDraws.empty(1, min(lo + BLOCK, trials) - lo)
         model.draw_wishart([cfg], [rng], draws, BLOCK)
         cov = model.bartlett_covariance(draws, cfg.k_active, cfg.m_antennas, cfg.noise_variance)
-        counts.append(estimate_counts(config.schemes, cov, ctx)[:, 0])
+        counts.append(estimate_counts(config.schemes, cov, cfg.noise_variance, alpha, cfg.n_potential)[:, 0])
     return dict(zip(config.schemes, np.concatenate(counts, axis=-1)))

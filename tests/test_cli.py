@@ -754,7 +754,10 @@ class TestEntryPoints:
         gone = {
             "model": ("sample_wishart",),
             "model.SystemConfig": ("snr_db",),
-            "estimators": ("estimate", "statistic", "Covariance"),
+            "estimators": (
+                "estimate", "statistic", "Covariance", "EstimatorContext", "_STATISTICS",
+                "_extremes", "eig_sum_statistic", "eig_diff_statistic", "orthogonal_statistic", "mle_statistic",
+            ),
             "harness": ("nrmse",),
             "theory": ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
         }

@@ -11,37 +11,31 @@ from scipy import integrate
 from auesim.covariance import CovarianceBlock
 from auesim.estimators import (
     ALPHA_MIN,
-    EstimatorContext,
     EstimatorDomainError,
     Scheme,
     _clamped_counts,
     characteristic_function,
     check_domain,
-    eig_diff_statistic,
-    eig_sum_statistic,
     estimate_counts,
-    mle_statistic,
     multiplication_count,
-    orthogonal_statistic,
+    statistics,
 )
 from auesim.harness import MAX_POPULATION
 from auesim.model import CfoModel
 from auesim.reference import ReceivedPilot, SampleCovariance, eigenvalues, sample_covariance
 
-CTX = EstimatorContext(noise_variance=0.1, alpha=0.8583936913341694, n_potential=100)
-
-# the statistic behind each scheme, as the paper defines it
-STATISTIC = {
-    Scheme.EIG_SUM: eig_sum_statistic,
-    Scheme.EIG_DIFF: eig_diff_statistic,
-    Scheme.ORTHOGONAL: orthogonal_statistic,
-    Scheme.MLE: mle_statistic,
-}
+# side information of the reference point: noise variance, alpha of uniform eps 0.15, population
+NOISE, ALPHA, N = 0.1, 0.8583936913341694, 100
 
 
-def estimate(scheme, cov, ctx):
+def raw_statistic(scheme, cov, noise_variance=NOISE, alpha=ALPHA):
+    """Statistic of one scheme: its row of ``statistics``."""
+    return statistics((scheme,), cov, noise_variance, alpha)[0]
+
+
+def estimate(scheme, cov, noise_variance=NOISE, alpha=ALPHA, n_potential=N):
     """Count of one scheme on one covariance: the one entry of ``estimate_counts``."""
-    return estimate_counts((scheme,), cov, ctx)[0]
+    return estimate_counts((scheme,), cov, noise_variance, alpha, n_potential)[0]
 
 
 def random_cov(rng, m=8):
@@ -87,28 +81,6 @@ class TestCharacteristicFunction:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-class TestEstimatorContext:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(noise_variance=-0.1),
-            dict(noise_variance=math.nan),
-            dict(alpha=1.5),
-            dict(alpha=-1.5),
-            dict(n_potential=0),
-            dict(noise_variance=np.array([0.1, -0.1])),
-            dict(noise_variance=np.array([0.1, math.inf])),
-            dict(alpha=np.array([0.5, 1.5])),
-            dict(alpha=np.array([0.5, math.nan])),
-        ],
-    )
-    def test_rejects_bad_fields(self, kwargs):
-        fields = dict(noise_variance=0.1, alpha=0.9, n_potential=100)
-        fields.update(kwargs)
-        with pytest.raises(ValueError):
-            EstimatorContext(**fields)
-
-
 class TestStatistics:
     """The simplified statistics must agree with their defining expressions."""
 
@@ -124,30 +96,30 @@ class TestStatistics:
         for _ in range(300):
             cov = random_cov(rng)
             literal = (self.quadratic_form(cov, common) - self.quadratic_form(cov, ortho)) / 4.0
-            assert orthogonal_statistic(cov, CTX) == pytest.approx(literal, rel=1e-12, abs=1e-14)
+            assert raw_statistic(Scheme.ORTHOGONAL, cov) == pytest.approx(literal, rel=1e-12, abs=1e-14)
 
     def test_mle_equals_common_pilot_form(self):
         rng = np.random.default_rng(42)
         common = np.array([1.0, 1.0])
         for _ in range(300):
             cov = random_cov(rng)
-            literal = self.quadratic_form(cov, common) / 4.0 - CTX.noise_variance / 2.0
-            assert mle_statistic(cov, CTX) == pytest.approx(literal, rel=1e-12, abs=1e-14)
+            literal = self.quadratic_form(cov, common) / 4.0 - NOISE / 2.0
+            assert raw_statistic(Scheme.MLE, cov) == pytest.approx(literal, rel=1e-12, abs=1e-14)
 
     def test_eig_sum_equals_eigenvalue_mean(self):
         rng = np.random.default_rng(43)
         for _ in range(300):
             cov = random_cov(rng)
             pair = eigenvalues(cov)
-            literal = 0.5 * (pair.lambda_max + pair.lambda_min) - CTX.noise_variance
-            assert eig_sum_statistic(cov, CTX) == pytest.approx(literal, rel=1e-12, abs=1e-14)
+            literal = 0.5 * (pair.lambda_max + pair.lambda_min) - NOISE
+            assert raw_statistic(Scheme.EIG_SUM, cov) == pytest.approx(literal, rel=1e-12, abs=1e-14)
 
     def test_eig_diff_equals_eigenvalue_spread(self):
         rng = np.random.default_rng(44)
         for _ in range(300):
             cov = random_cov(rng)
-            literal = eigenvalues(cov).spread / (2.0 * CTX.alpha)
-            assert eig_diff_statistic(cov, CTX) == pytest.approx(literal, rel=1e-12, abs=1e-14)
+            literal = eigenvalues(cov).spread / (2.0 * ALPHA)
+            assert raw_statistic(Scheme.EIG_DIFF, cov) == pytest.approx(literal, rel=1e-12, abs=1e-14)
 
     def test_statistic_dispatch(self):
         """Each row of ``estimate_counts`` rounds the statistic of its own scheme,
@@ -158,51 +130,70 @@ class TestStatistics:
         r1, r2, r12 = zip(*((c.r1, c.r2, c.r12) for c in covs))
         block = CovarianceBlock(8.0 * np.array(r1), 8.0 * np.array(r2), 8.0 * np.array(r12))
         for schemes in (tuple(Scheme), tuple(reversed(Scheme))):
-            counts = estimate_counts(schemes, block, CTX)
+            counts = estimate_counts(schemes, block, NOISE, ALPHA, N)
             for row, scheme in zip(counts, schemes):
-                raw = STATISTIC[scheme](block, CTX)
-                assert list(row) == [_round_half_away_clamped(x, CTX.n_potential) for x in raw]
+                raw = raw_statistic(scheme, block)
+                assert list(row) == [_round_half_away_clamped(x, N) for x in raw]
+
+    def test_side_information_each_scheme_reads(self):
+        """The paper's split: eig-diff works without the noise variance and
+        orthogonal without either; their rows do not move, bit for bit, when
+        the side information they do not read changes."""
+        rng = np.random.default_rng(49)
+        covs = [random_cov(rng) for _ in range(100)]
+        r1, r2, r12 = (np.array(column) for column in zip(*((c.r1, c.r2, c.r12) for c in covs)))
+        block = CovarianceBlock(r1, r2, r12)
+        schemes = (Scheme.EIG_DIFF, Scheme.ORTHOGONAL)
+        rows = [statistics(schemes, block, noise, alpha).tobytes()
+                for noise in (0.0, 0.1, 1e3) for alpha in (ALPHA, 0.5)]
+        eig_diff = [statistics(schemes[:1], block, noise, ALPHA).tobytes() for noise in (0.0, 0.1, 1e3)]
+        orthogonal = [statistics(schemes[1:], block, noise, alpha).tobytes()
+                      for noise in (0.0, 0.1, 1e3) for alpha in (ALPHA, 0.5, -1.0)]
+        assert len(set(eig_diff)) == 1
+        assert len(set(orthogonal)) == 1
+        # the guard above would pass on rows that ignore every input; alpha does move eig-diff
+        assert len(set(rows)) == 2
+
+    def test_rejects_a_non_scheme(self):
+        with pytest.raises(ValueError, match="not a Scheme"):
+            statistics(("eig-sum",), cov_with_cross(1.0), NOISE, ALPHA)
 
 
 class TestRoundingAndClamping:
     def test_ties_round_away_from_zero(self):
-        ctx = EstimatorContext(noise_variance=0.1, alpha=1.0, n_potential=100)
-        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(0.5), ctx) == 1
-        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.5), ctx) == 3
-        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(3.5), ctx) == 4
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(0.5)) == 1
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.5)) == 3
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(3.5)) == 4
 
     def test_plain_rounding(self):
-        ctx = EstimatorContext(noise_variance=0.1, alpha=1.0, n_potential=100)
-        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.4), ctx) == 2
-        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.6), ctx) == 3
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.4)) == 2
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(2.6)) == 3
 
     def test_negative_values_clamp_to_zero(self):
-        ctx = EstimatorContext(noise_variance=1.0, alpha=1.0, n_potential=100)
-        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(-0.5), ctx) == 0
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(-0.5), noise_variance=1.0) == 0
         # eig-sum statistic is (0.1 + 0.1)/2 - 1.0 < 0
-        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=0.1, r2=0.1, r12=0j), ctx) == 0
+        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=0.1, r2=0.1, r12=0j), noise_variance=1.0) == 0
 
     def test_large_values_clamp_to_population(self):
-        ctx = EstimatorContext(noise_variance=0.1, alpha=1.0, n_potential=5)
-        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(7.6), ctx) == 5
-        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=30.0, r2=30.0, r12=0j), ctx) == 5
+        assert estimate(Scheme.ORTHOGONAL, cov_with_cross(7.6), n_potential=5) == 5
+        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=30.0, r2=30.0, r12=0j), n_potential=5) == 5
 
     def test_integer_outputs(self):
         rng = np.random.default_rng(46)
         for _ in range(50):
             cov = random_cov(rng)
-            counts = estimate_counts(tuple(Scheme), cov, CTX)
+            counts = estimate_counts(tuple(Scheme), cov, NOISE, ALPHA, N)
             assert counts.dtype == np.int64
-            assert np.all((0 <= counts) & (counts <= CTX.n_potential))
+            assert np.all((0 <= counts) & (counts <= N))
 
     def test_estimate_matches_rounded_statistic(self):
         rng = np.random.default_rng(47)
         for _ in range(200):
             cov = random_cov(rng)
             for scheme in Scheme:
-                raw = STATISTIC[scheme](cov, CTX)
+                raw = raw_statistic(scheme, cov)
                 expected = min(max(int(math.floor(raw + 0.5)) if raw >= 0 else int(math.ceil(raw - 0.5)), 0), 100)
-                assert estimate(scheme, cov, CTX) == expected
+                assert estimate(scheme, cov) == expected
 
 
 def _round_half_away_clamped(raw, n):
@@ -213,7 +204,8 @@ def _round_half_away_clamped(raw, n):
 class TestEstimateArray:
     """The batched path, ``estimate_counts``, must equal scalar ``estimate`` element by element."""
 
-    CTX = EstimatorContext(noise_variance=0.25, alpha=0.5, n_potential=10)
+    SIDE = dict(noise_variance=0.25, alpha=0.5)
+    N = 10
     # (r1, r2, r12) chosen so each scheme lands on exact +-x.5 ties, negative
     # statistics and values above n_potential = 10; all are binary fractions
     EDGES = [
@@ -245,70 +237,66 @@ class TestEstimateArray:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_matches_scalar_estimate(self, scheme):
         cov = self.block()
-        batch = estimate_counts((scheme,), cov, self.CTX)[0]
+        batch = estimate_counts((scheme,), cov, **self.SIDE, n_potential=self.N)[0]
         assert batch.dtype == np.int64
         assert batch.shape == cov.r1.shape
         for i, (r1, r2, r12) in enumerate(zip(*cov)):
             one = SampleCovariance(r1=float(r1), r2=float(r2), r12=complex(r12))
-            expected = _round_half_away_clamped(STATISTIC[scheme](one, self.CTX), 10)
-            assert estimate(scheme, one, self.CTX) == expected
+            expected = _round_half_away_clamped(raw_statistic(scheme, one, **self.SIDE), 10)
+            assert estimate(scheme, one, **self.SIDE, n_potential=self.N) == expected
             assert batch[i] == expected, f"element {i}: {(r1, r2, r12)}"
 
     def test_counts_with_per_covariance_context(self):
         """All schemes at once, with noise and alpha given per covariance, equal
-        scalar ``estimate`` under each covariance's own context."""
+        scalar ``estimate`` under each covariance's own noise and alpha."""
         cov = self.block()
         odd = np.arange(cov.r1.size) % 2 == 1
         noise = np.where(odd, 1.5, 0.25)
         alpha = np.where(odd, 0.9, 0.5)
         schemes = (Scheme.MLE, Scheme.EIG_DIFF, Scheme.EIG_SUM, Scheme.ORTHOGONAL)
-        counts = estimate_counts(schemes, cov, EstimatorContext(noise, alpha, n_potential=10))
+        counts = estimate_counts(schemes, cov, noise, alpha, n_potential=10)
         assert counts.dtype == np.int64
         assert counts.shape == (len(schemes),) + cov.r1.shape
         for i, (r1, r2, r12) in enumerate(zip(*cov)):
             one = SampleCovariance(r1=float(r1), r2=float(r2), r12=complex(r12))
-            ctx = EstimatorContext(float(noise[i]), float(alpha[i]), n_potential=10)
-            assert [estimate(scheme, one, ctx) for scheme in schemes] == list(counts[:, i])
+            side = dict(noise_variance=float(noise[i]), alpha=float(alpha[i]), n_potential=10)
+            assert [estimate(scheme, one, **side) for scheme in schemes] == list(counts[:, i])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_edges_cover_ties_negatives_and_clamp(self, scheme):
         """Guard the test data itself: each scheme meets the cases it should."""
-        raw = np.array([STATISTIC[scheme](SampleCovariance(*edge), self.CTX) for edge in self.EDGES])
+        raw = np.array([raw_statistic(scheme, SampleCovariance(*edge), **self.SIDE) for edge in self.EDGES])
         assert np.any((raw % 1.0 == 0.5) & (raw > 0.0))
-        assert np.any(raw > self.CTX.n_potential)
+        assert np.any(raw > self.N)
         # the eig-diff statistic is a square root, never negative
         assert np.any(raw < 0.0) == (scheme is not Scheme.EIG_DIFF)
 
     def test_eig_diff_domain_error_from_batch(self):
         cov = self.block()
         for alpha in (ALPHA_MIN, ALPHA_MIN / 2, 0.0, -0.5):
-            ctx = EstimatorContext(noise_variance=0.1, alpha=alpha, n_potential=100)
             with pytest.raises(EstimatorDomainError):
-                estimate_counts((Scheme.EIG_DIFF,), cov, ctx)
+                estimate_counts((Scheme.EIG_DIFF,), cov, 0.1, alpha, 100)
             # one covariance below the limit is enough
             per_cov = np.full(cov.r1.shape, 0.5)
             per_cov[-1] = alpha
-            ctx = EstimatorContext(noise_variance=0.1, alpha=per_cov, n_potential=100)
             with pytest.raises(EstimatorDomainError):
-                estimate_counts((Scheme.ORTHOGONAL, Scheme.EIG_DIFF), cov, ctx)
+                estimate_counts((Scheme.ORTHOGONAL, Scheme.EIG_DIFF), cov, 0.1, per_cov, 100)
 
     def test_rejects_nan_statistic(self):
         cov = CovarianceBlock(r1=np.array([1.0, np.nan]), r2=np.ones(2), r12=np.zeros(2, complex))
         with pytest.raises(ValueError):
-            estimate_counts((Scheme.EIG_SUM,), cov, self.CTX)
+            estimate_counts((Scheme.EIG_SUM,), cov, **self.SIDE, n_potential=self.N)
 
 
 class TestEigDiffGuard:
     def test_rejects_alpha_at_or_below_limit(self):
         cov = cov_with_cross(1.0)
         for alpha in (ALPHA_MIN, ALPHA_MIN / 2, 0.0, -0.5):
-            ctx = EstimatorContext(noise_variance=0.1, alpha=alpha, n_potential=100)
             with pytest.raises(EstimatorDomainError):
-                estimate(Scheme.EIG_DIFF, cov, ctx)
+                estimate(Scheme.EIG_DIFF, cov, alpha=alpha)
 
     def test_accepts_alpha_above_limit(self):
-        ctx = EstimatorContext(noise_variance=0.1, alpha=2 * ALPHA_MIN, n_potential=100)
-        assert estimate(Scheme.EIG_DIFF, cov_with_cross(0.001), ctx) >= 0
+        assert estimate(Scheme.EIG_DIFF, cov_with_cross(0.001), alpha=2 * ALPHA_MIN) >= 0
 
     @pytest.mark.parametrize(
         "form", [float, np.float64, lambda a: np.array([a])], ids=["float", "float64", "array"]
@@ -324,11 +312,10 @@ class TestEigDiffGuard:
         assert issubclass(EstimatorDomainError, ValueError)
 
     def test_other_schemes_ignore_alpha(self):
-        ctx = EstimatorContext(noise_variance=0.1, alpha=0.0, n_potential=100)
         cov = cov_with_cross(3.0)
-        assert estimate(Scheme.ORTHOGONAL, cov, ctx) == 3
-        assert estimate(Scheme.EIG_SUM, cov, ctx) >= 0
-        assert estimate(Scheme.MLE, cov, ctx) >= 0
+        assert estimate(Scheme.ORTHOGONAL, cov, alpha=0.0) == 3
+        assert estimate(Scheme.EIG_SUM, cov, alpha=0.0) >= 0
+        assert estimate(Scheme.MLE, cov, alpha=0.0) >= 0
 
 
 class TestMultiplicationCount:

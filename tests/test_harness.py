@@ -506,27 +506,23 @@ class TestRunPoint:
 
     def test_one_sample_per_trial_shared_by_schemes(self, monkeypatch):
         """Each trial is drawn once, from one generator per (seed, block), and all
-        schemes read the same covariance arrays."""
+        schemes are counted in one call on one (1, trials) covariance block."""
         trials = 2 * BLOCK + 50
-        read = {}
-        for scheme, real_statistic in list(estimators._STATISTICS.items()):
+        read = []
+        real_statistics = estimators.statistics
 
-            def recording_statistic(cov, ctx, scheme=scheme, real_statistic=real_statistic):
-                read.setdefault(scheme, []).append(cov)
-                return real_statistic(cov, ctx)
+        def recording_statistics(schemes, cov, noise_variance, alpha):
+            read.append((schemes, cov))
+            return real_statistics(schemes, cov, noise_variance, alpha)
 
-            monkeypatch.setitem(estimators._STATISTICS, scheme, recording_statistic)
+        monkeypatch.setattr(estimators, "statistics", recording_statistics)
         draws = record_draws(monkeypatch)
         point_nrmse(BASE_CFG, ALL_SCHEMES, trials, seed=5)
         assert [out.g.shape for _, _, out, _ in draws] == [(1, trials)]
         assert seed_keys(draws) == [(5, (0,)), (5, (1,)), (5, (2,))]
         assert len({id(rng) for rng in block_rngs(draws)}) == 3
-        assert list(read) == list(ALL_SCHEMES)
-        assert all(len(calls) == 1 for calls in read.values())
-        covs = [calls[0] for calls in read.values()]
-        assert covs[0].r1.shape == (1, trials)
-        for cov in covs[1:]:
-            assert all(entry is first for entry, first in zip(cov, covs[0]))
+        assert [schemes for schemes, _ in read] == [ALL_SCHEMES]
+        assert all(entry.shape == (1, trials) for entry in read[0][1])
 
     def test_matches_nrmse_of_collected_estimates(self):
         estimates = collect_estimates(BASE_CFG, (Scheme.EIG_SUM,), 200, seed=3)
@@ -600,6 +596,12 @@ class TestApplyAxisValue:
         with pytest.raises(ValueError):
             snr_db_to_noise_variance(math.nan)
 
+    def test_snr_past_the_float_range_is_a_value_error(self):
+        """An integer too large for a float gave ``OverflowError`` from ``math.isfinite``."""
+        for snr_db in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match="snr_db must be finite"):
+                snr_db_to_noise_variance(snr_db)
+
 
 class TestExperimentConfig:
     def test_single_point_takes_no_values(self):
@@ -623,6 +625,11 @@ class TestExperimentConfig:
     def test_rejects_bad_value_shapes(self, axis, value, message):
         with pytest.raises(ValueError, match=message):
             small_config(axis=axis, values=(value,))
+
+    def test_rejects_sweep_value_past_the_float_range(self):
+        """An integer too large for a float gave ``OverflowError`` from ``float()``."""
+        with pytest.raises(ValueError, match="sweep values must be finite"):
+            small_config(axis=SweepAxis.SNR_DB, values=(10.0, 10**400))
 
     def test_rejects_duplicate_schemes(self):
         with pytest.raises(ValueError):
@@ -752,6 +759,22 @@ class TestRunSweep:
         assert result[1].nrmse_theory == pytest.approx(
             nrmse_eig_sum_theory(25, 32, 0.1, alpha), rel=1e-12
         )
+
+    def test_rejects_non_integer_workers(self):
+        """``workers=1.5`` passed the domain check and then failed with ``TypeError`` in ``range``."""
+        with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
+            run_sweep(small_config(), workers=1.5)
+        assert run_sweep(small_config(), workers=np.int64(2)) == run_sweep(small_config())
+
+    @pytest.mark.parametrize("kind", list(CfoKind))
+    def test_spelled_cfo_kind_gives_the_member_rows(self, kind):
+        """A kind given as its spelling simulated uniform offsets under the Gaussian alpha."""
+        rows = {}
+        for given in (kind, kind.value):
+            base = dataclasses.replace(BASE_CFG, cfo=CfoModel(given, 0.15))
+            config = ExperimentConfig(base=base, schemes=ALL_SCHEMES, trials=300, master_seed=4)
+            rows[given] = run_sweep(config)
+        assert rows[kind] == rows[kind.value]
 
     def test_no_theory_when_not_requested(self):
         result = run_sweep(small_config(emit_theory=False))

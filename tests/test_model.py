@@ -49,6 +49,19 @@ class TestCfoModel:
         assert CfoModel.uniform(0.1).kind is CfoKind.UNIFORM
         assert CfoModel.gaussian(0.1).kind is CfoKind.GAUSSIAN
 
+    @pytest.mark.parametrize("kind", list(CfoKind))
+    def test_spelled_kind_is_stored_as_the_member(self, kind):
+        """A kind given by its CLI spelling was stored as the string, which the
+        sampler read as uniform and ``characteristic_function`` as Gaussian."""
+        cfo = CfoModel(kind.value, 0.15)
+        assert cfo.kind is kind
+        assert cfo == CfoModel(kind, 0.15)
+
+    @pytest.mark.parametrize("bad", ["bogus", "Gaussian", None, 1])
+    def test_rejects_unknown_kind(self, bad):
+        with pytest.raises(ValueError):
+            CfoModel(bad, 0.15)
+
     @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf, math.nextafter(MAX_EPSILON, math.inf)])
     def test_rejects_bad_epsilon(self, bad):
         with pytest.raises(ValueError):
