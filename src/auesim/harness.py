@@ -72,6 +72,10 @@ PASS_BLOCKS = 32
 # still sum exactly in int64 over a full pass of PASS_BLOCKS * BLOCK trials
 MAX_POPULATION = math.isqrt((2**63 - 1) // (PASS_BLOCKS * BLOCK))
 
+# largest trial count accepted: its block count and every trial index fit
+# in the signed 64-bit sizes that ranges and numpy take
+MAX_TRIALS = 2**63 - 1
+
 CSV_HEADER = ("axis", "axis_value", "scheme", "nrmse_sim", "nrmse_theory", "trials", "seed")
 
 
@@ -121,8 +125,8 @@ class ExperimentConfig:
             raise ValueError(f"duplicate schemes in {tuple(s.value for s in schemes)}")
         for name in ("trials", "master_seed"):
             object.__setattr__(self, name, model.as_int(name, getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, MAX_TRIALS = 2**63 - 1], got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must fit in 64 unsigned bits, got {self.master_seed}")
         if self.base.n_potential > MAX_POPULATION:
@@ -324,6 +328,8 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
     empty everywhere else.
     """
     workers = model.as_int("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_domain(config)
     sums = _evaluate(config, workers)
     axis, trials, seed = config.axis.value, config.trials, config.master_seed

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -65,6 +66,10 @@ MAX_NOISE_VARIANCE = 1e150
 # a million standard deviations
 MAX_EPSILON = 1e6
 
+# largest array size accepted: M and M - 1 stay exact as doubles, and
+# (K + sigma_z^2) Gamma(M) stays finite under MAX_NOISE_VARIANCE
+MAX_ANTENNAS = 2**53
+
 
 def as_int(name: str, value: object) -> int:
     """``value`` as a Python int, for a Python or numpy integer; ``ValueError`` for anything else."""
@@ -72,6 +77,12 @@ def as_int(name: str, value: object) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_real(name: str, value: object) -> None:
+    """``ValueError`` unless ``value`` is a real number, such as a Python or numpy float."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 class CfoKind(enum.Enum):
@@ -99,6 +110,7 @@ class CfoModel:
     def __post_init__(self) -> None:
         # every reader tests the member by identity, so a spelling must not survive
         object.__setattr__(self, "kind", CfoKind(self.kind))
+        _require_real("epsilon_max", self.epsilon_max)
         if not 0.0 <= self.epsilon_max <= MAX_EPSILON:
             raise ValueError(f"epsilon_max must lie in [0, {MAX_EPSILON:g}], got {self.epsilon_max}")
 
@@ -145,8 +157,9 @@ class SystemConfig:
             raise ValueError(
                 f"k_active must lie in [0, n_potential={self.n_potential}], got {self.k_active}"
             )
-        if self.m_antennas < 1:
-            raise ValueError(f"m_antennas must be >= 1, got {self.m_antennas}")
+        if not 1 <= self.m_antennas <= MAX_ANTENNAS:
+            raise ValueError(f"m_antennas must lie in [1, MAX_ANTENNAS = 2**53], got {self.m_antennas}")
+        _require_real("noise_variance", self.noise_variance)
         if not 0.0 < self.noise_variance <= MAX_NOISE_VARIANCE:
             raise ValueError(
                 f"noise_variance must lie in (0, {MAX_NOISE_VARIANCE:g}], got {self.noise_variance}"
@@ -227,12 +240,9 @@ def draw_wishart(
     if len(rngs) != -(-trials // block):
         raise ValueError(f"{len(rngs)} generators for {trials} slots in blocks of {block}")
     spans = [(rng, lo, min(lo + block, trials)) for rng, lo in zip(rngs, range(0, trials, block))]
-    # runs of whole blocks whose offsets, together, stay within GROUP_DRAWS;
-    # a block of one slot is phased alone, as _phasor_sums explains
-    per_group = max(1, GROUP_DRAWS // (max(users, 1) * block)) if block > 1 else 1
+    # runs of whole blocks whose offsets, together, stay within GROUP_DRAWS
+    per_group = max(1, GROUP_DRAWS // (max(users, 1) * block))
     groups = [spans[first : first + per_group] for first in range(0, len(spans), per_group)]
-    if groups and len(groups[-1]) > 1 and groups[-1][-1][2] - groups[-1][-1][1] == 1:
-        groups[-1:] = [groups[-1][:-1], groups[-1][-1:]]
     for group in groups:
         starts = []
         for rng, lo, hi in group:
@@ -285,20 +295,15 @@ def _phasor_sums(
     axis, which adds the rows one after another, after the running total has
     been added into the run's first row.  So every addition is one the loop
     makes, in its order, and the bits are the loop's.  (In a block of one
-    slot, numpy adds a run of rows pairwise instead; grouping keeps that
-    block's arrays as they are alone, so its bits do not change either.)  A
-    group of several blocks holds at most ``GROUP_DRAWS`` offsets; one block
-    with more than ``CHUNK_DRAWS`` is drawn and phased in chunks of users,
-    carrying the total, so that transient memory does not grow with K and
-    the result is bit for bit that of one chunk.
+    slot, numpy adds a run of rows pairwise instead, as that block would
+    alone.)  A group of several blocks holds at most ``GROUP_DRAWS`` offsets;
+    one block with more than ``CHUNK_DRAWS`` is drawn and phased in chunks of
+    users, carrying the total, so that transient memory does not grow with K
+    and the result is bit for bit that of one chunk.
 
-    Phasors are formed once per distinct scale, in a group of one block for
-    the users that scale needs, in a group of several for every user drawn,
-    and all rows that share (scale, K) take their sum in one assignment.  A
-    phasor's bits depend on its offset alone, except that numpy multiplies a
-    one-element complex array without the fused multiply-add that its vector
-    loop may use; so a block of one slot, whose phasors can form such an
-    array, is phased alone, as it would be on its own.
+    Phasors are formed once per distinct scale, for every user drawn, and
+    all rows that share (scale, K) take their sum in one assignment.  A
+    phasor's bits depend on its offset alone, so grouping moves none.
     """
     lo, hi = group[0][1], group[-1][2]
     slots = hi - lo
@@ -329,13 +334,11 @@ def _phasor_sums(
             needed = min(rows, max(targets) - first_user)
             if needed <= 0:
                 continue
-            # a group of one block forms the phasors of the needed users only
-            formed = needed if len(group) == 1 else rows
-            phasors = _unit_phasors(unit[: formed * slots], scale)
+            phasors = _unit_phasors(unit, scale)
             total = sums[scale]
             views = [
                 (
-                    phasors[formed * at : formed * (at + count * size)].reshape(count, formed, size),
+                    phasors[rows * at : rows * (at + count * size)].reshape(count, rows, size),
                     total[at : at + count * size].reshape(count, size),
                 )
                 for at, count, size in parts
@@ -396,9 +399,10 @@ def _unit_phasors(unit: np.ndarray, scale: float) -> np.ndarray:
     The truncation error is below 2^-58 for |theta| <= pi / 4096, and each
     phasor lies within 2 ulp * max(1, |omega|) of ``np.exp(1j * omega)``.
     The reduction is exact while |t| < 2^51, which ``MAX_EPSILON`` ensures.
-    Every step writes in place, and at most five real arrays of ``unit``'s
-    size are alive at once, so a block's peak memory stays that of
-    ``np.exp(1j * (scale * unit))``.
+    Every step but a one-element product writes in place, and at most five
+    real arrays of ``unit``'s size are alive at once, so a block's peak
+    memory stays that of ``np.exp(1j * (scale * unit))``.  A phasor's bits
+    depend on its offset alone, whatever the size of ``unit``.
     """
     t = np.multiply(unit, scale / _STEP)
     k = np.add(t, _ROUNDER)
@@ -417,7 +421,8 @@ def _unit_phasors(unit: np.ndarray, scale: float) -> np.ndarray:
     np.add(t, _ONE, out=cos)
     # freed before the table values are gathered, which need two arrays' room
     del t, k, f2
-    return np.multiply(_TABLE.take(index), step, out=step)
+    # in place, numpy multiplies one complex element without its vector loop's fused multiply-add
+    return np.multiply(_TABLE.take(index), step, out=step if step.size > 1 else None)
 
 
 def bartlett_covariance(draws: WishartDraws, k_active, m_antennas, noise_variance) -> CovarianceBlock:

@@ -1,11 +1,12 @@
 """Test oracles: the direct 2 x M model, moments, per-trial counts and an exact NRMSE.
 
 ``generate_received`` synthesises the block Y of ``auesim.model`` channel by
-channel, with offsets from ``draw_cfos``, and ``sample_covariance`` forms
-R = Y Y^H / M from it.  ``moment_oracles`` and ``population_eigenvalues``
-are the closed forms at a ``PopulationSpec``.  ``collect_estimates`` gives
-the per-trial counts of one point, block by block, and ``nrmse`` scores a
-list of counts in Python integers.  No production module imports this one.
+channel, with offsets from ``draw_cfos``; ``sample_covariance`` forms
+R = Y Y^H / M from it, and ``eigenvalues`` gives R's two eigenvalues.
+``moment_oracles`` are the closed-form moments at a ``PopulationSpec``.
+``collect_estimates`` gives the per-trial counts of one point, block by
+block, and ``nrmse`` scores a list of counts in Python integers.  No
+production module imports this one.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .model import CfoKind, CfoModel, SystemConfig
 from .theory import _check_power
 
 _SQRT2 = math.sqrt(2.0)
-
-_GAMMA_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +149,6 @@ def eigenvalues(cov: SampleCovariance) -> EigenPair:
     return EigenPair(lambda_max=mean + half, lambda_min=mean - half)
 
 
-def gamma_exact(omegas: np.ndarray) -> float:
-    """Coherent offset sum |sum_n e^{j omega_n}| for one realized offset draw."""
-    phasor = np.exp(1j * np.asarray(omegas, dtype=float)).sum()
-    return float(abs(phasor))
-
-
 @dataclass(frozen=True)
 class PopulationSpec:
     """Operating point for the closed-form quantities."""
@@ -203,19 +196,6 @@ def moment_oracles(spec: PopulationSpec, m_antennas: int) -> CovarianceMoments:
         r1_square_mean=(1.0 + 1.0 / m_antennas) * power**2,
         r1_r2_mean=(k + k * (k - 1.0) * spec.alpha**2) / m_antennas + power**2,
     )
-
-
-def population_eigenvalues(spec: PopulationSpec, gamma: float) -> EigenPair:
-    """Population covariance eigenvalues K + sigma_z^2 +- gamma.
-
-    ``gamma`` is the realized coherent sum, which the triangle inequality
-    bounds by K; values outside [0, K] are rejected.
-    """
-    k = spec.k_active
-    if gamma < -_GAMMA_TOL or gamma > k * (1.0 + _GAMMA_TOL) + _GAMMA_TOL:
-        raise ValueError(f"gamma must lie in [0, k_active={k}], got {gamma}")
-    level = k + spec.noise_variance
-    return EigenPair(lambda_max=level + gamma, lambda_min=level - gamma)
 
 
 def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:

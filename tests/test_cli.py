@@ -507,6 +507,25 @@ class TestExitCodes:
         assert named in captured.err
 
     @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["run", "--m", str(10**400)], "MAX_ANTENNAS"),  # OverflowError in standard_gamma
+            (["run", "--m", str(2**1023)], "MAX_ANTENNAS"),  # P * Gamma(M) overflowed to inf mid-run
+            (["sweep", "--axis", "m", "--values", "1,1e300"], "MAX_ANTENNAS"),
+            (["run", "--trials", str(10**30)], "MAX_TRIALS"),  # OverflowError from len() of the blocks
+        ],
+        ids=["m-10^400", "m-2^1023", "sweep-m-1e300", "trials-10^30"],
+    )
+    def test_sizes_past_bound_exit_2(self, monkeypatch, capsys, argv, named):
+        """Each ended in a traceback with exit 1; now the request is refused before any trial runs."""
+        monkeypatch.setattr(auesim.cli, "run_sweep", pytest.fail)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["run", "--trials", "5", "--schemes", "orthogonal"],
@@ -730,8 +749,8 @@ class TestEntryPoints:
     def test_serial_run_loads_no_pool_machinery(self):
         """The process pool is imported only when one starts: importing the CLI and a
         serial run leave concurrent.futures unloaded, and argparse and csv are not
-        loaded at all.  No production module loads the reference code, and none
-        keeps a name that moved there or was deleted."""
+        loaded at all.  No production module loads the reference code, and no
+        module keeps a name that moved or was deleted."""
         code = (
             "import os, sys\n"
             "import auesim.cli\n"
@@ -760,6 +779,7 @@ class TestEntryPoints:
             ),
             "harness": ("nrmse",),
             "theory": ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
+            "reference": ("gamma_exact", "population_eigenvalues", "_GAMMA_TOL"),
         }
         left = []
         for owner, names in gone.items():

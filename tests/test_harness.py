@@ -21,6 +21,7 @@ from auesim.harness import (
     CSV_HEADER,
     DEFAULT_TRIALS,
     MAX_POPULATION,
+    MAX_TRIALS,
     PASS_BLOCKS,
     ExperimentConfig,
     SweepAxis,
@@ -116,6 +117,17 @@ class TestErrorSumBound:
         for run in (point_nrmse, collect_estimates):
             with pytest.raises(ValueError, match="MAX_POPULATION"):
                 run(cfg, (Scheme.EIG_SUM,), 10, 7)
+
+    def test_trial_bound(self):
+        """10^30 trials overflowed ``len`` of the block range mid-run; at the
+        bound the block count still fits, and the last block evaluates."""
+        with pytest.raises(ValueError, match=r"trials must lie in \[1, MAX_TRIALS = 2\*\*63 - 1\]"):
+            small_config(trials=MAX_TRIALS + 1)
+        config = small_config(trials=MAX_TRIALS)
+        blocks = range(-(-MAX_TRIALS // BLOCK))
+        assert len(blocks) == 2**55
+        sums = harness._evaluate_blocks(config, blocks[-1:])
+        assert sums.shape == (len(ALL_SCHEMES), 2)
 
     def test_totals_exact_past_int64(self):
         """At the bound, 40k trials of K=1 at -80 dB square-sum past 2^63; the
@@ -765,6 +777,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
             run_sweep(small_config(), workers=1.5)
         assert run_sweep(small_config(), workers=np.int64(2)) == run_sweep(small_config())
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        """Zero or negative workers ran serially, where the CLI's ``--workers 0`` exits 2."""
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(small_config(), workers=workers)
 
     @pytest.mark.parametrize("kind", list(CfoKind))
     def test_spelled_cfo_kind_gives_the_member_rows(self, kind):

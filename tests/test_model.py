@@ -1,6 +1,7 @@
 """Tests for the received-pilot signal model."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from auesim import model
 from auesim.covariance import CovarianceBlock
 from auesim.estimators import characteristic_function
 from auesim.model import (
+    MAX_ANTENNAS,
     MAX_EPSILON,
     MAX_NOISE_VARIANCE,
     CfoKind,
@@ -62,7 +64,8 @@ class TestCfoModel:
         with pytest.raises(ValueError):
             CfoModel(bad, 0.15)
 
-    @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf, math.nextafter(MAX_EPSILON, math.inf)])
+    # a string raised TypeError from the range comparison
+    @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf, math.nextafter(MAX_EPSILON, math.inf), "0.1"])
     def test_rejects_bad_epsilon(self, bad):
         with pytest.raises(ValueError):
             CfoModel.uniform(bad)
@@ -146,6 +149,13 @@ class TestSystemConfig:
             dict(noise_variance=math.inf),
             dict(noise_variance=1e308),
             dict(noise_variance=math.nextafter(MAX_NOISE_VARIANCE, math.inf)),
+            # a string raised TypeError from the range comparison
+            dict(noise_variance="0.1"),
+            # M = 10^400 overflowed in standard_gamma, and M = 2^1023 overflowed
+            # P * Gamma(M) to inf, both mid-run
+            dict(m_antennas=MAX_ANTENNAS + 1),
+            dict(m_antennas=2**1023),
+            dict(m_antennas=10**400),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -167,6 +177,17 @@ class TestSystemConfig:
         """A float count fails at construction instead of simulating a fractional system."""
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
             dataclasses.replace(BASE_CFG, **{field: value})
+
+    @pytest.mark.parametrize("snr_db", [10.0, -1500.0, 2990.0])
+    def test_largest_array_gives_finite_entries(self, snr_db):
+        """M = MAX_ANTENNAS draws and transforms cleanly at both ends of the noise range."""
+        cfg = dataclasses.replace(
+            BASE_CFG, m_antennas=MAX_ANTENNAS, noise_variance=snr_db_to_noise_variance(snr_db)
+        )
+        out = WishartDraws.empty(1, 8)
+        draw_wishart([cfg], [np.random.default_rng(7330)], out, 8)
+        # passes check_entries, or it raises
+        bartlett_covariance(out, cfg.k_active, cfg.m_antennas, cfg.noise_variance)
 
     def test_accepts_numpy_integer_counts(self):
         cfg = dataclasses.replace(
@@ -413,9 +434,8 @@ class TestDrawWishart:
     @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
     def test_one_slot_point_equals_its_draw_alone(self, kind):
         """At one slot, a point whose scale needs one user gets the phasor its
-        own draw forms, from a one-element array, although the block draws 25
-        users: numpy multiplies one complex element without the fused
-        multiply-add its vector loop may use."""
+        own draw forms, from a one-element array, although the block phases
+        25 users: a phasor's bits depend on its offset alone."""
         cfgs = [
             dataclasses.replace(BASE_CFG, cfo=CfoModel(kind, 0.15)),
             dataclasses.replace(BASE_CFG, k_active=1, cfo=CfoModel(kind, 0.05)),
@@ -519,10 +539,10 @@ class TestGroupedBlocks:
     @pytest.mark.parametrize("k", [1, 2, 5, 13, 16, 17, 25, 33, 45])
     def test_grouped_equal_per_block(self, monkeypatch, k, kind, blocks, last, chunk):
         """Passes of 1 to 32 blocks, the last one short, at K from 1 to 45:
-        groups of up to 32 blocks (K = 1), of one (K >= 17), and a short block
-        that joins a group or, at one slot, is phased alone.  Two scales, one
-        of which needs fewer users than the pass draws, two targets at the
-        other, and two points that share M."""
+        groups of up to 32 blocks (K = 1), of one (K >= 17), and a short block,
+        of one slot or more, that joins a group.  Two scales, one of which
+        needs fewer users than the pass draws, two targets at the other, and
+        two points that share M."""
         monkeypatch.setattr(model, "CHUNK_DRAWS", chunk)
         cfgs = [
             dataclasses.replace(BASE_CFG, k_active=k, m_antennas=2, cfo=CfoModel(kind, 0.15)),
@@ -541,7 +561,7 @@ class TestGroupedBlocks:
 
     @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
     def test_blocks_of_one_slot(self, kind):
-        """Blocks one slot wide are phased one by one, as their own draws are."""
+        """Blocks one slot wide, phased together, equal their own draws."""
         cfg = dataclasses.replace(BASE_CFG, k_active=1, cfo=CfoModel(kind, 0.15))
         grouped = WishartDraws.empty(1, 5)
         draw_wishart([cfg], self._streams(5, 7560), grouped, 1)
@@ -552,7 +572,8 @@ class TestGroupedBlocks:
 
     def test_groups_hold_at_most_group_draws(self, monkeypatch):
         """At K = 2, a 32-block pass phases its offsets in two groups of 16
-        blocks; at K = 25, block by block."""
+        blocks, and 15 full blocks with a last block of one slot in one group;
+        at K = 25, block by block."""
         calls = []
         real = model._unit_phasors
 
@@ -561,10 +582,16 @@ class TestGroupedBlocks:
             return real(unit, scale)
 
         monkeypatch.setattr(model, "_unit_phasors", recording)
-        for k, sizes in ((2, [2 * 16 * self.BLOCK] * 2), (25, [25 * self.BLOCK] * 32)):
+        full, one_slot = 32 * self.BLOCK, 15 * self.BLOCK + 1
+        for k, trials, sizes in (
+            (2, full, [2 * 16 * self.BLOCK] * 2),
+            (2, one_slot, [2 * one_slot]),
+            (25, full, [25 * self.BLOCK] * 32),
+        ):
             calls.clear()
             cfg = dataclasses.replace(BASE_CFG, k_active=k)
-            draw_wishart([cfg], self._streams(32, 7550), WishartDraws.empty(1, 32 * self.BLOCK), self.BLOCK)
+            streams = self._streams(-(-trials // self.BLOCK), 7550)
+            draw_wishart([cfg], streams, WishartDraws.empty(1, trials), self.BLOCK)
             assert calls == sizes
             assert max(sizes) <= model.GROUP_DRAWS
 
@@ -601,6 +628,28 @@ class TestUnitPhasors:
         omega = np.concatenate([k * step, (k + 0.5) * step, [math.pi / 2, math.pi, 2.0 * math.pi]])
         omega = np.concatenate([omega, -omega, [CfoModel.uniform(MAX_EPSILON).omega_max]])
         assert self._ulps(1.0, omega).max() <= 8.0
+
+    @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_one_element_equals_the_vector_call(self, kind, epsilon):
+        """numpy multiplies a one-element complex array written in place without
+        the fused multiply-add of its vector loop, which changed the last bit
+        of about a quarter of the phasors; each must depend on its offset alone."""
+        seed = 7420 + 2 * self.EPSILONS.index(epsilon) + (kind is CfoKind.GAUSSIAN)
+        rng = np.random.default_rng(seed)
+        cfo = CfoModel(kind, epsilon)
+        if kind is CfoKind.GAUSSIAN:
+            unit, scale = rng.standard_normal(1000), cfo.omega_max / 3.0
+        else:
+            unit, scale = rng.uniform(-1.0, 1.0, 1000), cfo.omega_max
+        alone = np.concatenate([model._unit_phasors(unit[i : i + 1], scale) for i in range(unit.size)])
+        assert alone.tobytes() == model._unit_phasors(unit, scale).tobytes()
+
+    def test_table_bits_are_pinned(self):
+        """The table of the unit circle, as numpy 2.4's sin and cos build it; a
+        numpy whose sin or cos gives other bits moves output bytes."""
+        digest = hashlib.sha256(model._TABLE.tobytes()).hexdigest()
+        assert digest == "3436548cc5b3e08e502264f35a60c6370d7a7dd2e01830d1ac29e06fd09d88d7"
 
     def test_zero_offset_is_exactly_one(self):
         phasors = model._unit_phasors(np.zeros((2, 3)), 0.7)

@@ -11,71 +11,13 @@ from auesim.model import CfoModel, SystemConfig
 from auesim.reference import (
     CovarianceMoments,
     PopulationSpec,
-    gamma_exact,
     generate_received,
     moment_oracles,
-    population_eigenvalues,
     sample_covariance,
 )
 from auesim.theory import MAX_POWER, nrmse_eig_sum_theory
 
 ALPHA_UNIFORM_015 = 0.8583936913341694
-
-
-class TestGammaExact:
-    def test_aligned_offsets_sum_coherently(self):
-        assert gamma_exact(np.zeros(25)) == pytest.approx(25.0, rel=1e-12)
-
-    def test_single_user(self):
-        assert gamma_exact(np.array([0.3])) == pytest.approx(1.0, rel=1e-12)
-
-    def test_opposite_phases_cancel(self):
-        assert gamma_exact(np.array([0.4, 0.4 + math.pi])) == pytest.approx(0.0, abs=1e-12)
-
-    def test_never_exceeds_count(self):
-        rng = np.random.default_rng(51)
-        for _ in range(200):
-            omegas = rng.uniform(-1.0, 1.0, size=17)
-            assert gamma_exact(omegas) <= 17.0 + 1e-12
-
-    def test_empty(self):
-        assert gamma_exact(np.zeros(0)) == 0.0
-
-
-class TestPopulationEigenvalues:
-    def test_matches_eigensolver_on_population_matrix(self):
-        """K + sigma^2 +- |g| against numpy on the actual 2 x 2 population matrix."""
-        rng = np.random.default_rng(52)
-        spec = PopulationSpec(k_active=25, noise_variance=0.1)
-        for _ in range(200):
-            omegas = rng.uniform(-0.95, 0.95, size=spec.k_active)
-            g = np.exp(1j * omegas).sum()
-            matrix = np.array(
-                [
-                    [spec.k_active + spec.noise_variance, g],
-                    [np.conj(g), spec.k_active + spec.noise_variance],
-                ]
-            )
-            pair = population_eigenvalues(spec, abs(g))
-            lo, hi = np.linalg.eigvalsh(matrix)
-            np.testing.assert_allclose([pair.lambda_min, pair.lambda_max], [lo, hi], rtol=1e-12)
-
-    def test_zero_offsets_give_extreme_split(self):
-        spec = PopulationSpec(k_active=10, noise_variance=0.5)
-        pair = population_eigenvalues(spec, 10.0)
-        assert pair.lambda_max == pytest.approx(20.5, rel=1e-14)
-        assert pair.lambda_min == pytest.approx(0.5, rel=1e-14)
-
-    def test_noise_floor_is_lower_bound(self):
-        spec = PopulationSpec(k_active=10, noise_variance=0.5)
-        for gamma in (0.0, 3.0, 10.0):
-            assert population_eigenvalues(spec, gamma).lambda_min >= spec.noise_variance - 1e-12
-
-    @pytest.mark.parametrize("gamma", [-0.5, 10.2])
-    def test_rejects_gamma_outside_triangle_bound(self, gamma):
-        spec = PopulationSpec(k_active=10, noise_variance=0.5)
-        with pytest.raises(ValueError):
-            population_eigenvalues(spec, gamma)
 
 
 class TestNrmseTheory:
