@@ -1,6 +1,6 @@
 """Entries (r1, r2, r12) of the Hermitian 2 x 2 pilot sample covariance, over many trials.
 
-The single-trial ``SampleCovariance`` and its eigenvalues are in ``auesim.reference``.
+The direct model in ``auesim.reference`` builds the same record for one trial.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ _highest = functools.partial(np.maximum.reduce, axis=None, initial=-math.inf)
 class CovarianceBlock(NamedTuple):
     """Entries of many sample covariances, element i of each array from trial i.
 
-    The counting schemes read only ``r1``, ``r2`` and ``r12``, so they take a
-    block wherever they take a single covariance and return arrays.
+    The fields may also be one trial's scalars.  The counting schemes read
+    only ``r1``, ``r2`` and ``r12``, so they take either and return arrays.
     """
 
     r1: np.ndarray

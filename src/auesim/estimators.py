@@ -18,10 +18,9 @@ returns these real values, one branch per scheme; the counts round them half
 away from zero and clamp to the population range [0, n_potential].
 
 Each formula is written once and reads only ``cov.r1``, ``cov.r2`` and
-``cov.r12``, so it takes a whole ``CovarianceBlock`` of arrays or anything
-else with those three entries, one ``reference.SampleCovariance`` included.
-``estimate_counts`` is the path the simulation runs: every requested scheme
-on one block, rounded and clamped in one step.
+``cov.r12``, so it takes a ``CovarianceBlock`` of arrays or of one trial's
+scalars alike.  ``estimate_counts`` is the path the simulation runs: every
+requested scheme on one block, rounded and clamped in one step.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Test oracles: the direct 2 x M model, moments, per-trial counts and an exact NRMSE.
 
 ``generate_received`` synthesises the block Y of ``auesim.model`` channel by
-channel, with offsets from ``draw_cfos``; ``sample_covariance`` forms
-R = Y Y^H / M from it, and ``eigenvalues`` gives R's two eigenvalues.
-``moment_oracles`` are the closed-form moments at a ``PopulationSpec``.
+channel, with offsets from ``draw_cfos``, as a (2, M) array;
+``sample_covariance`` forms R = Y Y^H / M from it as a one-trial
+``CovarianceBlock``, and ``eigenvalues`` gives R's two eigenvalues.
+``moment_oracles`` are the closed-form moments at one operating point.
 ``collect_estimates`` gives the per-trial counts of one point, block by
 block, and ``nrmse`` scores a list of counts in Python integers.  No
 production module imports this one.
@@ -18,40 +19,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import model
-from .covariance import check_entries
+from .covariance import CovarianceBlock, check_entries
 from .estimators import Scheme, estimate_counts
 from .harness import BLOCK, ExperimentConfig, _check_domain, _nrmse_of_sum
 from .model import CfoKind, CfoModel, SystemConfig
-from .theory import _check_power
+from .theory import _check_point
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class ReceivedPilot:
-    """One received 2 x M pilot block; row i is the array snapshot for symbol i."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=complex)
-        if samples.ndim != 2 or samples.shape[0] != 2 or samples.shape[1] < 1:
-            raise ValueError(f"samples must have shape (2, M) with M >= 1, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def m_antennas(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.samples[0]
-
-    @property
-    def y2(self) -> np.ndarray:
-        return self.samples[1]
 
 
 def draw_cfos(cfo: CfoModel, k_active: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,8 +39,8 @@ def draw_cfos(cfo: CfoModel, k_active: int, rng: np.random.Generator) -> np.ndar
 
 def generate_received(
     cfg: SystemConfig, rng: np.random.Generator, *, with_noise: bool = True
-) -> ReceivedPilot:
-    """Simulate one pilot slot and return the received 2 x M block.
+) -> np.ndarray:
+    """Simulate one pilot slot: the received 2 x M complex128 block, row i from symbol i.
 
     Draw order is fixed (offsets, channels, noise) so a given generator
     state always produces the same block.  ``with_noise=False`` zeroes the
@@ -82,89 +56,45 @@ def generate_received(
     if with_noise:
         scale = math.sqrt(cfg.noise_variance / 2.0)
         samples = samples + scale * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
-    return ReceivedPilot(samples=samples)
+    return samples
 
 
-@dataclass(frozen=True)
-class SampleCovariance:
-    """Entries of R = Y Y^H / M: diagonal powers r1, r2 and cross term r12 = y1 y2^H / M."""
+def sample_covariance(samples: np.ndarray) -> CovarianceBlock:
+    """Average the M per-antenna outer products of [y1_i, y2_i] of a (2, M) block.
 
-    r1: float
-    r2: float
-    r12: complex
-
-    def __post_init__(self) -> None:
-        check_entries(self.r1, self.r2, self.r12)
-
-    @property
-    def trace(self) -> float:
-        return self.r1 + self.r2
-
-    @property
-    def determinant(self) -> float:
-        return self.r1 * self.r2 - (self.r12.real**2 + self.r12.imag**2)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Ordered eigenvalues of a 2 x 2 Hermitian matrix."""
-
-    lambda_max: float
-    lambda_min: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lambda_max) and math.isfinite(self.lambda_min)):
-            raise ValueError("eigenvalues must be finite")
-        if self.lambda_max < self.lambda_min:
-            raise ValueError(
-                f"lambda_max = {self.lambda_max} < lambda_min = {self.lambda_min}"
-            )
-
-    @property
-    def spread(self) -> float:
-        return self.lambda_max - self.lambda_min
-
-
-def sample_covariance(pilot: ReceivedPilot) -> SampleCovariance:
-    """Average the M per-antenna outer products of [y1_i, y2_i]."""
-    y1, y2 = pilot.y1, pilot.y2
-    m = pilot.m_antennas
+    The entries are checked as ``bartlett_covariance`` checks its own, so a
+    NaN or inf sample, which makes its row's power non-finite, raises.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    if samples.ndim != 2 or samples.shape[0] != 2 or samples.shape[1] < 1:
+        raise ValueError(f"samples must have shape (2, M) with M >= 1, got {samples.shape}")
+    y1, y2 = samples
+    m = samples.shape[1]
     r1 = float(np.vdot(y1, y1).real) / m
     r2 = float(np.vdot(y2, y2).real) / m
     # vdot conjugates its first argument: sum_i y1_i * conj(y2_i)
     r12 = complex(np.vdot(y2, y1)) / m
-    return SampleCovariance(r1=r1, r2=r2, r12=r12)
+    check_entries(r1, r2, r12)
+    return CovarianceBlock(r1, r2, r12)
 
 
-def eigenvalues(cov: SampleCovariance) -> EigenPair:
-    """Eigenvalues of [[r1, r12], [r12*, r2]] via the quadratic formula.
+def eigenvalues(cov: CovarianceBlock) -> tuple[float, float]:
+    """(lambda_max, lambda_min) of [[r1, r12], [r12*, r2]] via the quadratic formula.
 
     lambda = (r1 + r2)/2 +- sqrt((r1 - r2)^2 + 4 |r12|^2) / 2.  The
     discriminant is clamped at zero so roundoff near a repeated eigenvalue
-    cannot produce a NaN.
+    cannot produce a NaN; a value that overflows raises ``ValueError``.
     """
     mean = 0.5 * (cov.r1 + cov.r2)
-    disc = (cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2)
+    try:
+        disc = (cov.r1 - cov.r2) ** 2 + 4.0 * (cov.r12.real**2 + cov.r12.imag**2)
+    except OverflowError:  # a square of Python floats past the float range
+        disc = math.inf
     half = 0.5 * math.sqrt(max(disc, 0.0))
-    return EigenPair(lambda_max=mean + half, lambda_min=mean - half)
-
-
-@dataclass(frozen=True)
-class PopulationSpec:
-    """Operating point for the closed-form quantities."""
-
-    k_active: int
-    noise_variance: float
-    alpha: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.k_active < 0:
-            raise ValueError(f"k_active must be >= 0, got {self.k_active}")
-        if not math.isfinite(self.noise_variance) or self.noise_variance < 0.0:
-            raise ValueError(f"noise_variance must be finite and >= 0, got {self.noise_variance}")
-        _check_power(self.k_active, self.noise_variance)
-        if not -1.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [-1, 1], got {self.alpha}")
+    lambda_max, lambda_min = mean + half, mean - half
+    if not (math.isfinite(lambda_max) and math.isfinite(lambda_min)):
+        raise ValueError(f"eigenvalues must be finite, got {lambda_max} and {lambda_min}")
+    return lambda_max, lambda_min
 
 
 @dataclass(frozen=True)
@@ -176,7 +106,7 @@ class CovarianceMoments:
     r1_r2_mean: float
 
 
-def moment_oracles(spec: PopulationSpec, m_antennas: int) -> CovarianceMoments:
+def moment_oracles(k_active: int, noise_variance: float, alpha: float, m_antennas: int) -> CovarianceMoments:
     """Exact moments of R1 (and the R1*R2 cross moment) at the operating point.
 
     With P = K + sigma_z^2:
@@ -186,30 +116,30 @@ def moment_oracles(spec: PopulationSpec, m_antennas: int) -> CovarianceMoments:
         E[R1 R2]   = (K + K(K-1) alpha^2) / M + P^2
 
     R1 and R2 are identically distributed, so the same numbers serve for R2.
+    The point is checked as ``theory.nrmse_eig_sum_theory`` does, K = 0 allowed.
     """
-    if m_antennas < 1:
-        raise ValueError(f"m_antennas must be >= 1, got {m_antennas}")
-    k = float(spec.k_active)
-    power = k + spec.noise_variance
+    k_active, m_antennas = _check_point(k_active, m_antennas, noise_variance, alpha, k_min=0)
+    k = float(k_active)
+    power = k + noise_variance
     return CovarianceMoments(
         r1_mean=power,
         r1_square_mean=(1.0 + 1.0 / m_antennas) * power**2,
-        r1_r2_mean=(k + k * (k - 1.0) * spec.alpha**2) / m_antennas + power**2,
+        r1_r2_mean=(k + k * (k - 1.0) * alpha**2) / m_antennas + power**2,
     )
 
 
 def nrmse(estimates: Sequence[int] | np.ndarray, k_true: int) -> float:
     """Root mean squared count error, normalized by the true count."""
-    if k_true < 1:
+    k = model.as_int("k_true", k_true)
+    if k < 1:
         raise ValueError(f"k_true must be >= 1, got {k_true}")
     arr = np.asarray(estimates)
     if arr.size == 0:
         raise ValueError("estimates must be non-empty")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"estimates must be integers, got dtype {arr.dtype}")
-    k = int(k_true)
     # Python integers: no square or sum can overflow
-    return _nrmse_of_sum(sum((e - k) * (e - k) for e in arr.tolist()), arr.size, k_true)
+    return _nrmse_of_sum(sum((e - k) * (e - k) for e in arr.tolist()), arr.size, k)
 
 
 def collect_estimates(

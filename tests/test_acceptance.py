@@ -27,8 +27,6 @@ from auesim.harness import (
 )
 from auesim.model import CfoModel, SystemConfig
 from auesim.reference import (
-    PopulationSpec,
-    ReceivedPilot,
     collect_estimates,
     eigenvalues,
     generate_received,
@@ -182,10 +180,7 @@ def test_criterion_4_zero_cfo_consistency():
 def test_criterion_5_moment_oracle_suite():
     trials = 100_000
     alpha = characteristic_function(BASE_CFG.cfo)
-    oracle = moment_oracles(
-        PopulationSpec(k_active=BASE_CFG.k_active, noise_variance=BASE_CFG.noise_variance, alpha=alpha),
-        BASE_CFG.m_antennas,
-    )
+    oracle = moment_oracles(BASE_CFG.k_active, BASE_CFG.noise_variance, alpha, BASE_CFG.m_antennas)
     r1 = np.empty(trials)
     r2 = np.empty(trials)
     for trial in range(trials):
@@ -229,9 +224,11 @@ def test_criterion_6_algebraic_equivalence_suite():
     worst_det = 0.0
     for _ in range(count):
         samples = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-        cov = sample_covariance(ReceivedPilot(samples=samples))
+        cov = sample_covariance(samples)
         matrix = np.array([[cov.r1, cov.r12], [np.conj(cov.r12), cov.r2]])
-        scale = cov.trace
+        trace = cov.r1 + cov.r2
+        determinant = cov.r1 * cov.r2 - (cov.r12.real**2 + cov.r12.imag**2)
+        scale = trace
 
         q_common = float(np.real(common @ matrix @ common))
         q_ortho = float(np.real(ortho @ matrix @ ortho))
@@ -239,29 +236,26 @@ def test_criterion_6_algebraic_equivalence_suite():
             Scheme.ORTHOGONAL: (q_common - q_ortho) / 4.0,
             Scheme.MLE: q_common / 4.0 - noise_variance / 2.0,
         }
-        pair = eigenvalues(cov)
-        literal[Scheme.EIG_SUM] = 0.5 * (pair.lambda_max + pair.lambda_min) - noise_variance
-        literal[Scheme.EIG_DIFF] = (pair.lambda_max - pair.lambda_min) / (2.0 * alpha)
+        lambda_max, lambda_min = eigenvalues(cov)
+        literal[Scheme.EIG_SUM] = 0.5 * (lambda_max + lambda_min) - noise_variance
+        literal[Scheme.EIG_DIFF] = (lambda_max - lambda_min) / (2.0 * alpha)
         simplified = dict(zip(literal, statistics(tuple(literal), cov, noise_variance, alpha)))
         for scheme in literal:
             err = abs(simplified[scheme] - literal[scheme]) / max(abs(literal[scheme]), scale)
             worst_form = max(worst_form, err)
 
-        roots = np.roots([1.0, -cov.trace, cov.determinant])
+        roots = np.roots([1.0, -trace, determinant])
         assert np.abs(roots.imag).max() < 1e-10
         lo, hi = np.sort(roots.real)
         worst_eig = max(
             worst_eig,
-            abs(pair.lambda_min - lo) / max(abs(lo), 1e-3 * scale),
-            abs(pair.lambda_max - hi) / max(abs(hi), 1e-3 * scale),
+            abs(lambda_min - lo) / max(abs(lo), 1e-3 * scale),
+            abs(lambda_max - hi) / max(abs(hi), 1e-3 * scale),
         )
-        worst_trace = max(
-            worst_trace, abs(pair.lambda_max + pair.lambda_min - cov.trace) / cov.trace
-        )
+        worst_trace = max(worst_trace, abs(lambda_max + lambda_min - trace) / trace)
         worst_det = max(
             worst_det,
-            abs(pair.lambda_max * pair.lambda_min - cov.determinant)
-            / max(abs(cov.determinant), 1e-4 * scale**2),
+            abs(lambda_max * lambda_min - determinant) / max(abs(determinant), 1e-4 * scale**2),
         )
     ok = worst_form <= 1e-12 and worst_eig <= 1e-9 and worst_trace <= 1e-10 and worst_det <= 1e-10
     detail = (

@@ -13,12 +13,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import auesim.cli
@@ -468,6 +469,80 @@ class TestSweepCommand:
         assert [row[1] for row in lines[1:]] == ["0.100000000", "0.150000000"]
 
 
+def _either(usual, extremes):
+    """The usual and the extreme texts of one option's value."""
+    rare = st.sampled_from(extremes) if isinstance(extremes, list) else extremes
+    return usual.map(str), rare.map(str)
+
+
+_SNR_EXTREMES = st.floats() | st.sampled_from([-4000, -3080, -1500.1, -1500, 2990, 4000, 1e308])
+_EPS_EXTREMES = st.floats() | st.sampled_from([1e6, 1e6 + 1, 0.5, 0.4999, 1.4999, 0.0, -0.0])
+# the usual values keep each call cheap (K <= 64, --trials <= 512) and are
+# mostly valid; the extremes are valid at the edge, or values the CLI refuses
+_VALUE_PAIRS = {
+    "n": _either(st.integers(1, 200), [-1, 0, 2**25 - 1, 2**25, 2**63, 10**400, "1e3"]),
+    "k": _either(st.integers(1, 64), [-1, 0, 2**25, 2**63, 10**400]),
+    "m": _either(st.integers(1, 64), [-1, 0, 2**53, 2**53 + 1, 2**1023, 10**400]),
+    "snr_db": _either(st.floats(-100.0, 100.0), _SNR_EXTREMES),
+    "eps_max": _either(st.floats(0.0, 0.45), _EPS_EXTREMES),
+    "cfo": _either(st.sampled_from(["uniform", "gaussian"]), ["bogus", "Gaussian"]),
+    "schemes": _either(_SCHEME_LISTS, ["bogus", "mle,mle", ""]),
+    "seed": _either(st.integers(0, 2**64 - 1), [-1, 2**64 - 1, 2**64, 10**30]),
+    "theory": (st.none(), st.just("x")),  # None: the switch alone
+    "workers": _either(st.just(1), [0, -3, "x"]),  # no pool starts
+    "out": _either(st.sampled_from(["-", "{tmp}/rows"]), ["{tmp}", "{tmp}/missing/rows", ""]),
+    "format": _either(st.sampled_from(["csv", "json"]), ["xml", "CSV"]),
+    "trials": _either(st.integers(1, 512), [-1, 0, 1, 256, 257, 512, 2**63, 10**30]),
+    "axis": _either(st.sampled_from(["k", "m", "snr", "epsilon"]), ["none", "K", ""]),
+}
+_AXIS_VALUE_PAIRS = {
+    "k": _either(st.integers(1, 64), [-1, 0, 2.5, 1e300, 2**25, 10**400, "nan"]),
+    "m": _either(st.integers(1, 64), [-1, 0, 2**53, 2**53 + 1, 2.5, 1e300, "inf"]),
+    "snr": _either(st.floats(-100.0, 100.0), _SNR_EXTREMES),
+    "epsilon": _either(st.floats(0.0, 0.45), _EPS_EXTREMES),
+}
+
+
+@st.composite
+def extreme_argument_lists(draw):
+    """A run or sweep argument list of any options at usual values, then one
+    option, or one sweep value, at an extreme, so that a failure points at one
+    value; each option is spelled with '=' or with its value as the next
+    argument.  ``--trials`` comes last, so that no call runs the default
+    20,000 trials.  ``{tmp}`` in a path stands for a fresh temporary directory."""
+    command = draw(st.sampled_from(["run", "sweep"]))
+    flags = {opt.dest: opt.flag for opt in (OPTIONS if command == "run" else (*OPTIONS, *SWEEP_OPTIONS))}
+    focus = draw(st.sampled_from(sorted(flags)))
+
+    def value(dest):
+        usual, extreme = _VALUE_PAIRS[dest]
+        return draw(extreme if dest == focus else usual)
+
+    others = sorted(flags.keys() - {"axis", "values", "trials", focus})
+    pairs = [(flags[dest], value(dest)) for dest in draw(st.lists(st.sampled_from(others), max_size=6))]
+    if focus not in ("axis", "values", "trials"):
+        pairs.append((flags[focus], value(focus)))
+    if command == "sweep":
+        axis = value("axis")
+        # an axis the CLI refuses takes any values
+        usual, extreme = _AXIS_VALUE_PAIRS.get(axis, _AXIS_VALUE_PAIRS["snr"])
+        values = draw(st.lists(usual, min_size=1, max_size=3))
+        if focus == "values":
+            values[draw(st.integers(0, len(values) - 1))] = draw(extreme)
+        pairs += [("--axis", axis), ("--values", ",".join(values))]
+    if draw(st.integers(0, 30)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), ("--help", None))
+    argv = [command]
+    for flag, text in pairs:
+        if text is None:
+            argv.append(flag)
+        elif draw(st.booleans()) and flag != "--theory":
+            argv += [flag, text]
+        else:
+            argv.append(f"{flag}={text}")
+    return argv + ["--trials", value("trials")]
+
+
 class TestExitCodes:
     def test_config_error_exits_2(self, capsys):
         code = main(["run", "--k", "300", "--trials", "10"])
@@ -700,6 +775,25 @@ class TestExitCodes:
         assert main(["run", "--trials", "5", "--schemes", "orthogonal"]) == 0
         capsys.readouterr()
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(extreme_argument_lists())
+    @example(argv=["sweep", "--axis", "epsilon", "--values=0.1,0.5", "--trials", "5"])
+    @example(argv=["run", "--m", str(2**53), "--k", "64", "--snr-db=-1500", "--theory", "--trials", "512"])
+    def test_extreme_options_exit_cleanly(self, argv):
+        """Any option at an extreme value works (0), is refused (2) or meets a
+        scheme's domain (3), with one ``error:`` line on every failing exit and
+        no exception.  In process, with one worker, so no pool starts."""
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [arg.replace("{tmp}", tmp) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, capsys):
@@ -779,7 +873,10 @@ class TestEntryPoints:
             ),
             "harness": ("nrmse",),
             "theory": ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
-            "reference": ("gamma_exact", "population_eigenvalues", "_GAMMA_TOL"),
+            "reference": (
+                "gamma_exact", "population_eigenvalues", "_GAMMA_TOL",
+                "ReceivedPilot", "SampleCovariance", "EigenPair", "PopulationSpec",
+            ),
         }
         left = []
         for owner, names in gone.items():

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auesim.covariance import check_entries
-from auesim.reference import (
-    EigenPair,
-    ReceivedPilot,
-    SampleCovariance,
-    eigenvalues,
-    sample_covariance,
-)
+from auesim.covariance import CovarianceBlock, check_entries
+from auesim.reference import eigenvalues, sample_covariance
 
 
 def random_pilot(rng, m=8):
-    samples = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-    return ReceivedPilot(samples=samples)
+    return rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+
+
+def checked(r1, r2, r12):
+    """Hand-written entries as a ``CovarianceBlock``, after ``check_entries`` passes them."""
+    check_entries(r1, r2, r12)
+    return CovarianceBlock(r1, r2, r12)
+
+
+def determinant(cov):
+    return cov.r1 * cov.r2 - (cov.r12.real**2 + cov.r12.imag**2)
 
 
 def as_matrix(cov):
@@ -28,8 +31,8 @@ def as_matrix(cov):
 
 class TestSampleCovariance:
     def test_hand_computed_entries(self):
-        pilot = ReceivedPilot(samples=np.array([[1.0, 1j], [1.0, -1.0]]))
-        cov = sample_covariance(pilot)
+        cov = sample_covariance(np.array([[1.0, 1j], [1.0, -1.0]]))
+        assert isinstance(cov, CovarianceBlock)
         assert cov.r1 == pytest.approx(1.0, rel=1e-15)
         assert cov.r2 == pytest.approx(1.0, rel=1e-15)
         # r12 = (y1 . conj(y2)) / M = (1*1 + 1j*(-1)) / 2
@@ -41,7 +44,7 @@ class TestSampleCovariance:
         for _ in range(50):
             pilot = random_pilot(rng)
             cov = sample_covariance(pilot)
-            full = pilot.samples @ pilot.samples.conj().T / pilot.m_antennas
+            full = pilot @ pilot.conj().T / pilot.shape[1]
             assert cov.r1 == pytest.approx(full[0, 0].real, rel=1e-12)
             assert cov.r2 == pytest.approx(full[1, 1].real, rel=1e-12)
             assert cov.r12 == pytest.approx(full[0, 1], rel=1e-12)
@@ -52,77 +55,69 @@ class TestSampleCovariance:
             cov = sample_covariance(random_pilot(rng, m=3))
             assert cov.r1 >= 0.0
             assert cov.r2 >= 0.0
-            assert cov.determinant >= -1e-12 * max(1.0, cov.r1 * cov.r2)
+            assert determinant(cov) >= -1e-12 * max(1.0, cov.r1 * cov.r2)
 
     def test_rank_one_pilot_has_zero_determinant(self):
         y1 = np.array([1.0 + 0.5j, -0.25j, 0.75])
-        pilot = ReceivedPilot(samples=np.vstack([y1, (0.3 - 0.9j) * y1]))
-        cov = sample_covariance(pilot)
-        assert cov.determinant == pytest.approx(0.0, abs=1e-12)
+        cov = sample_covariance(np.vstack([y1, (0.3 - 0.9j) * y1]))
+        assert determinant(cov) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_cross_term_violating_cauchy_schwarz(self):
         with pytest.raises(ValueError):
-            SampleCovariance(r1=1.0, r2=1.0, r12=1.5 + 0.0j)
+            checked(r1=1.0, r2=1.0, r12=1.5 + 0.0j)
 
     @pytest.mark.parametrize("kwargs", [dict(r1=-0.5), dict(r2=math.nan), dict(r12=complex(math.inf, 0))])
     def test_rejects_bad_entries(self, kwargs):
         entries = dict(r1=2.0, r2=2.0, r12=0.5 + 0.5j)
         entries.update(kwargs)
         with pytest.raises(ValueError):
-            SampleCovariance(**entries)
-
-    def test_trace(self):
-        cov = SampleCovariance(r1=2.0, r2=3.0, r12=1.0 + 1.0j)
-        assert cov.trace == pytest.approx(5.0, rel=1e-15)
+            checked(**entries)
 
 
 class TestEigenvalues:
     def test_diagonal_matrix(self):
-        cov = SampleCovariance(r1=3.0, r2=1.0, r12=0.0 + 0.0j)
-        pair = eigenvalues(cov)
-        assert pair.lambda_max == pytest.approx(3.0, rel=1e-15)
-        assert pair.lambda_min == pytest.approx(1.0, rel=1e-15)
+        lambda_max, lambda_min = eigenvalues(checked(r1=3.0, r2=1.0, r12=0.0 + 0.0j))
+        assert lambda_max == pytest.approx(3.0, rel=1e-15)
+        assert lambda_min == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_hermitian_eigensolver(self):
         """Closed form against numpy's Hermitian eigensolver on random inputs."""
         rng = np.random.default_rng(33)
         for _ in range(1000):
             cov = sample_covariance(random_pilot(rng))
-            pair = eigenvalues(cov)
+            lambda_max, lambda_min = eigenvalues(cov)
             lo, hi = np.linalg.eigvalsh(as_matrix(cov))
-            np.testing.assert_allclose([pair.lambda_min, pair.lambda_max], [lo, hi], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose([lambda_min, lambda_max], [lo, hi], rtol=1e-9, atol=1e-12)
 
     def test_trace_and_determinant_identities(self):
         rng = np.random.default_rng(34)
         for _ in range(500):
             cov = sample_covariance(random_pilot(rng))
-            pair = eigenvalues(cov)
-            assert pair.lambda_max + pair.lambda_min == pytest.approx(cov.trace, rel=1e-12)
-            assert pair.lambda_max * pair.lambda_min == pytest.approx(
-                cov.determinant, rel=1e-9, abs=1e-12 * cov.trace**2
-            )
+            lambda_max, lambda_min = eigenvalues(cov)
+            trace = cov.r1 + cov.r2
+            assert lambda_max + lambda_min == pytest.approx(trace, rel=1e-12)
+            assert lambda_max * lambda_min == pytest.approx(determinant(cov), rel=1e-9, abs=1e-12 * trace**2)
 
     def test_ordering_and_spread(self):
         rng = np.random.default_rng(35)
         for _ in range(200):
-            pair = eigenvalues(sample_covariance(random_pilot(rng)))
-            assert pair.lambda_max >= pair.lambda_min
-            assert pair.spread == pytest.approx(pair.lambda_max - pair.lambda_min, rel=1e-15)
+            cov = sample_covariance(random_pilot(rng))
+            lambda_max, lambda_min = eigenvalues(cov)
+            assert lambda_max >= lambda_min
+            spread = math.sqrt((cov.r1 - cov.r2) ** 2 + 4.0 * abs(cov.r12) ** 2)
+            assert lambda_max - lambda_min == pytest.approx(spread, rel=1e-12)
 
     def test_repeated_eigenvalue(self):
-        cov = SampleCovariance(r1=2.0, r2=2.0, r12=0.0 + 0.0j)
-        pair = eigenvalues(cov)
-        assert pair.lambda_max == pair.lambda_min == pytest.approx(2.0, rel=1e-15)
-
-
-class TestEigenPair:
-    def test_rejects_unordered(self):
-        with pytest.raises(ValueError):
-            EigenPair(lambda_max=1.0, lambda_min=2.0)
+        lambda_max, lambda_min = eigenvalues(checked(r1=2.0, r2=2.0, r12=0.0 + 0.0j))
+        assert lambda_max == lambda_min == pytest.approx(2.0, rel=1e-15)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            EigenPair(lambda_max=math.nan, lambda_min=0.0)
+        """Valid covariances whose trace or discriminant overflows have no finite
+        eigenvalues; the second raised OverflowError from squaring a Python float."""
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            eigenvalues(CovarianceBlock(1.5e308, 1.5e308, 0j))
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            eigenvalues(sample_covariance(np.array([[1e80, 0.0], [0.0, 0.0]])))
 
 
 def check_entries_oracle(r1, r2, r12):

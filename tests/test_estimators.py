@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from auesim.covariance import CovarianceBlock
+from auesim.covariance import CovarianceBlock, check_entries
 from auesim.estimators import (
     ALPHA_MIN,
     EstimatorDomainError,
@@ -22,7 +22,7 @@ from auesim.estimators import (
 )
 from auesim.harness import MAX_POPULATION
 from auesim.model import CfoModel
-from auesim.reference import ReceivedPilot, SampleCovariance, eigenvalues, sample_covariance
+from auesim.reference import eigenvalues, sample_covariance
 
 # side information of the reference point: noise variance, alpha of uniform eps 0.15, population
 NOISE, ALPHA, N = 0.1, 0.8583936913341694, 100
@@ -39,12 +39,17 @@ def estimate(scheme, cov, noise_variance=NOISE, alpha=ALPHA, n_potential=N):
 
 
 def random_cov(rng, m=8):
-    samples = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
-    return sample_covariance(ReceivedPilot(samples=samples))
+    return sample_covariance(rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+
+
+def one_cov(r1, r2, r12):
+    """Hand-written entries of one covariance, after ``check_entries`` passes them."""
+    check_entries(r1, r2, r12)
+    return CovarianceBlock(r1, r2, r12)
 
 
 def cov_with_cross(real_cross, diag=10.0):
-    return SampleCovariance(r1=diag, r2=diag, r12=complex(real_cross, 0.0))
+    return one_cov(diag, diag, complex(real_cross, 0.0))
 
 
 class TestCharacteristicFunction:
@@ -110,15 +115,16 @@ class TestStatistics:
         rng = np.random.default_rng(43)
         for _ in range(300):
             cov = random_cov(rng)
-            pair = eigenvalues(cov)
-            literal = 0.5 * (pair.lambda_max + pair.lambda_min) - NOISE
+            lambda_max, lambda_min = eigenvalues(cov)
+            literal = 0.5 * (lambda_max + lambda_min) - NOISE
             assert raw_statistic(Scheme.EIG_SUM, cov) == pytest.approx(literal, rel=1e-12, abs=1e-14)
 
     def test_eig_diff_equals_eigenvalue_spread(self):
         rng = np.random.default_rng(44)
         for _ in range(300):
             cov = random_cov(rng)
-            literal = eigenvalues(cov).spread / (2.0 * ALPHA)
+            lambda_max, lambda_min = eigenvalues(cov)
+            literal = (lambda_max - lambda_min) / (2.0 * ALPHA)
             assert raw_statistic(Scheme.EIG_DIFF, cov) == pytest.approx(literal, rel=1e-12, abs=1e-14)
 
     def test_statistic_dispatch(self):
@@ -172,11 +178,11 @@ class TestRoundingAndClamping:
     def test_negative_values_clamp_to_zero(self):
         assert estimate(Scheme.ORTHOGONAL, cov_with_cross(-0.5), noise_variance=1.0) == 0
         # eig-sum statistic is (0.1 + 0.1)/2 - 1.0 < 0
-        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=0.1, r2=0.1, r12=0j), noise_variance=1.0) == 0
+        assert estimate(Scheme.EIG_SUM, one_cov(r1=0.1, r2=0.1, r12=0j), noise_variance=1.0) == 0
 
     def test_large_values_clamp_to_population(self):
         assert estimate(Scheme.ORTHOGONAL, cov_with_cross(7.6), n_potential=5) == 5
-        assert estimate(Scheme.EIG_SUM, SampleCovariance(r1=30.0, r2=30.0, r12=0j), n_potential=5) == 5
+        assert estimate(Scheme.EIG_SUM, one_cov(r1=30.0, r2=30.0, r12=0j), n_potential=5) == 5
 
     def test_integer_outputs(self):
         rng = np.random.default_rng(46)
@@ -227,6 +233,7 @@ class TestEstimateArray:
     def block(self):
         rng = np.random.default_rng(48)
         r1, r2, r12 = (np.array(column) for column in zip(*self.EDGES))
+        check_entries(r1, r2, r12)
         random = [random_cov(rng) for _ in range(200)]
         scale = 8.0  # spreads the random statistics across [0, n_potential] and beyond
         r1 = np.concatenate([r1, scale * np.array([c.r1 for c in random])])
@@ -241,7 +248,7 @@ class TestEstimateArray:
         assert batch.dtype == np.int64
         assert batch.shape == cov.r1.shape
         for i, (r1, r2, r12) in enumerate(zip(*cov)):
-            one = SampleCovariance(r1=float(r1), r2=float(r2), r12=complex(r12))
+            one = CovarianceBlock(float(r1), float(r2), complex(r12))
             expected = _round_half_away_clamped(raw_statistic(scheme, one, **self.SIDE), 10)
             assert estimate(scheme, one, **self.SIDE, n_potential=self.N) == expected
             assert batch[i] == expected, f"element {i}: {(r1, r2, r12)}"
@@ -258,14 +265,14 @@ class TestEstimateArray:
         assert counts.dtype == np.int64
         assert counts.shape == (len(schemes),) + cov.r1.shape
         for i, (r1, r2, r12) in enumerate(zip(*cov)):
-            one = SampleCovariance(r1=float(r1), r2=float(r2), r12=complex(r12))
+            one = CovarianceBlock(float(r1), float(r2), complex(r12))
             side = dict(noise_variance=float(noise[i]), alpha=float(alpha[i]), n_potential=10)
             assert [estimate(scheme, one, **side) for scheme in schemes] == list(counts[:, i])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_edges_cover_ties_negatives_and_clamp(self, scheme):
         """Guard the test data itself: each scheme meets the cases it should."""
-        raw = np.array([raw_statistic(scheme, SampleCovariance(*edge), **self.SIDE) for edge in self.EDGES])
+        raw = np.array([raw_statistic(scheme, one_cov(*edge), **self.SIDE) for edge in self.EDGES])
         assert np.any((raw % 1.0 == 0.5) & (raw > 0.0))
         assert np.any(raw > self.N)
         # the eig-diff statistic is a square root, never negative

@@ -90,6 +90,10 @@ class TestNrmse:
     def test_rejects_zero_truth(self):
         with pytest.raises(ValueError):
             nrmse([1, 2], 0)
+        # a count that is not an integer gave a value: 1.2 for k_true = 2.5
+        for k_true in (2.5, math.nan, "5"):
+            with pytest.raises(ValueError, match="k_true must be an integer"):
+                nrmse([5, 5], k_true)
 
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
