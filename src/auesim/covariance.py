@@ -1,6 +1,6 @@
 """Entries (r1, r2, r12) of the Hermitian 2 x 2 pilot sample covariance, over many trials.
 
-The direct model in ``auesim.reference`` builds the same record for one trial.
+The direct model in the test oracles, ``tests/oracles.py``, builds the same record for one trial.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import CovarianceBlock
-from .model import CfoKind, CfoModel
+from .model import CfoKind, CfoModel, as_int
 
 # below this the eig-diff division by alpha amplifies covariance noise past
 # any useful range, and alpha = 0 (offsets near half the symbol rate) would
@@ -144,6 +144,9 @@ def estimate_counts(
 
 def multiplication_count(scheme: Scheme, m_antennas: int) -> int:
     """Real multiplications one estimate costs at array size ``m_antennas``."""
+    if not isinstance(scheme, Scheme):
+        raise ValueError(f"not a Scheme: {scheme!r}")
+    m_antennas = as_int("m_antennas", m_antennas)
     if m_antennas < 1:
         raise ValueError(f"m_antennas must be >= 1, got {m_antennas}")
     slope, constant = _MULT_COUNTS[scheme]

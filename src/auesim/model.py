@@ -22,8 +22,8 @@ blocks of a pass for all the configurations of the pass, and
 ``bartlett_covariance`` once over the whole record it fills.  The phasors
 e^{j omega_n} come from a table of the unit circle and a short Taylor step
 (``_unit_phasors``), within a few ulps of ``np.exp``.  Y itself is
-synthesised only by the direct model in ``auesim.reference``, which the
-tests check this sampler's law against.
+synthesised only by the direct model of the test oracles
+(``tests/oracles.py``), which the tests check this sampler's law against.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ two received pilot symbols is
 
 Averaging over the offset distribution replaces e^{j omega} by its mean
 alpha, which gives the moments of the covariance entries and the eig-sum
-error below.  The moments and the eigenvalues K + sigma_z^2 +- |g| are test
-oracles in ``auesim.reference``.
+error below.  The moments are a test oracle, ``moment_oracles`` of
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def nrmse_eig_sum_theory(
 
     The estimate is (R1 + R2)/2 - sigma_z^2 with per-antenna averaging over M
     i.i.d. snapshots, and its mean-squared error follows from the covariance
-    moments (see ``reference.moment_oracles``):
+    moments (see ``moment_oracles`` in ``tests/oracles.py``):
 
         MSE = (K + K(K-1) alpha^2 + (K + sigma_z^2)^2) / (2 M)
 

@@ -6,8 +6,13 @@ channel, with offsets from ``draw_cfos``, as a (2, M) array;
 ``CovarianceBlock``, and ``eigenvalues`` gives R's two eigenvalues.
 ``moment_oracles`` are the closed-form moments at one operating point.
 ``collect_estimates`` gives the per-trial counts of one point, block by
-block, and ``nrmse`` scores a list of counts in Python integers.  No
-production module imports this one.
+block, and ``nrmse`` scores a list of counts in Python integers.
+
+This is a test module, not part of the package: the test modules import it
+as ``oracles``, which pytest's default import mode puts on the path.  It
+reaches into three private names of the package, ``harness._check_domain``,
+``harness._nrmse_of_sum`` and ``theory._check_point``, so that it accepts
+what the production code accepts and scores as the runner does.
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import model
-from .covariance import CovarianceBlock, check_entries
-from .estimators import Scheme, estimate_counts
-from .harness import BLOCK, ExperimentConfig, _check_domain, _nrmse_of_sum
-from .model import CfoKind, CfoModel, SystemConfig
-from .theory import _check_point
+from auesim import model
+from auesim.covariance import CovarianceBlock, check_entries
+from auesim.estimators import Scheme, estimate_counts
+from auesim.harness import BLOCK, ExperimentConfig, _check_domain, _nrmse_of_sum
+from auesim.model import CfoKind, CfoModel, SystemConfig
+from auesim.theory import _check_point
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -26,7 +26,9 @@ from auesim.harness import (
     write_csv,
 )
 from auesim.model import CfoModel, SystemConfig
-from auesim.reference import (
+from auesim.theory import nrmse_eig_sum_theory
+
+from oracles import (
     collect_estimates,
     eigenvalues,
     generate_received,
@@ -34,7 +36,6 @@ from auesim.reference import (
     nrmse,
     sample_covariance,
 )
-from auesim.theory import nrmse_eig_sum_theory
 
 BASE_CFG = SystemConfig(
     n_potential=100,

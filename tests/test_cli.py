@@ -5,7 +5,6 @@ import contextlib
 import copy
 import csv
 import errno
-import importlib
 import io
 import json
 import math
@@ -23,9 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import auesim.cli
+from auesim import estimators, harness, model, theory
 from auesim.cli import OPTIONS, SWEEP_OPTIONS, main, parse_args
 from auesim.harness import BLOCK, CSV_HEADER, DEFAULT_TRIALS, SweepAxis
 from auesim.model import CfoKind
+
+import oracles
 
 
 def read_csv(text):
@@ -843,18 +845,21 @@ class TestEntryPoints:
     def test_serial_run_loads_no_pool_machinery(self):
         """The process pool is imported only when one starts: importing the CLI and a
         serial run leave concurrent.futures unloaded, and argparse and csv are not
-        loaded at all.  No production module loads the reference code, and no
+        loaded at all.  The same run loads every module the package ships, so a
+        module off the production path (test code among them) cannot ship; and no
         module keeps a name that moved or was deleted."""
         code = (
-            "import os, sys\n"
+            "import json, os, sys\n"
             "import auesim.cli\n"
             "unused = ('concurrent.futures', 'argparse', 'csv')\n"
             "loaded = [name in sys.modules for name in unused]\n"
             "auesim.cli.main(['run', '--trials', '300', '--out', os.devnull])\n"
             "loaded += [name in sys.modules for name in unused]\n"
-            "from auesim import cli, covariance, estimators, harness, model, theory\n"
-            "loaded.append('auesim.reference' in sys.modules)\n"
-            "print(loaded)\n"
+            "imported = sorted(name for name in sys.modules if name.startswith('auesim.'))\n"
+            "import pkgutil\n"
+            "shipped = sorted(f'auesim.{m.name}' for m in pkgutil.iter_modules(auesim.__path__))\n"
+            "shipped.remove('auesim.__main__')\n"
+            "print(json.dumps([loaded, shipped, imported]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -863,27 +868,25 @@ class TestEntryPoints:
             env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str([False] * 7)
+        loaded, shipped, imported = json.loads(proc.stdout)
+        assert loaded == [False] * 6
+        assert "auesim.harness" in shipped
+        assert shipped == imported
         gone = {
-            "model": ("sample_wishart",),
-            "model.SystemConfig": ("snr_db",),
-            "estimators": (
+            model: ("sample_wishart",),
+            model.SystemConfig: ("snr_db",),
+            estimators: (
                 "estimate", "statistic", "Covariance", "EstimatorContext", "_STATISTICS",
                 "_extremes", "eig_sum_statistic", "eig_diff_statistic", "orthogonal_statistic", "mle_statistic",
             ),
-            "harness": ("nrmse",),
-            "theory": ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
-            "reference": (
+            harness: ("nrmse",),
+            theory: ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
+            oracles: (
                 "gamma_exact", "population_eigenvalues", "_GAMMA_TOL",
                 "ReceivedPilot", "SampleCovariance", "EigenPair", "PopulationSpec",
             ),
         }
-        left = []
-        for owner, names in gone.items():
-            module, _, cls = owner.partition(".")
-            scope = importlib.import_module(f"auesim.{module}")
-            scope = getattr(scope, cls) if cls else scope
-            left += [f"{owner}.{name}" for name in names if hasattr(scope, name)]
+        left = [f"{scope.__name__}.{name}" for scope, names in gone.items() for name in names if hasattr(scope, name)]
         assert left == []
 
     def test_module_invocation(self):

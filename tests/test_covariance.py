@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auesim.covariance import CovarianceBlock, check_entries
-from auesim.reference import eigenvalues, sample_covariance
+
+from oracles import eigenvalues, sample_covariance
 
 
 def random_pilot(rng, m=8):

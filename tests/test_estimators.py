@@ -22,7 +22,8 @@ from auesim.estimators import (
 )
 from auesim.harness import MAX_POPULATION
 from auesim.model import CfoModel
-from auesim.reference import eigenvalues, sample_covariance
+
+from oracles import eigenvalues, sample_covariance
 
 # side information of the reference point: noise variance, alpha of uniform eps 0.15, population
 NOISE, ALPHA, N = 0.1, 0.8583936913341694, 100
@@ -349,9 +350,16 @@ class TestMultiplicationCount:
             < multiplication_count(Scheme.EIG_DIFF, m)
         )
 
-    def test_rejects_bad_antenna_count(self):
-        with pytest.raises(ValueError):
-            multiplication_count(Scheme.EIG_SUM, 0)
+    @pytest.mark.parametrize("m", [0, 2.5, math.inf, math.nan])
+    def test_rejects_bad_antenna_count(self, m):
+        """M is a count of at least 1: a fraction, inf or NaN raises, as zero does."""
+        with pytest.raises(ValueError, match="m_antennas must be"):
+            multiplication_count(Scheme.EIG_SUM, m)
+
+    def test_rejects_scheme_name(self):
+        """A scheme spelled as its string raises ``ValueError``, as ``statistics`` does."""
+        with pytest.raises(ValueError, match="not a Scheme"):
+            multiplication_count("mle", 32)
 
 
 def clamped_counts_oracle(values, n_potential):

@@ -8,9 +8,15 @@ longer produce the bytes they did.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import auesim
 from auesim.cli import main
 
 CASES = {
@@ -231,3 +237,48 @@ def test_default_size_output_sha256(case, capsys):
     argv, digest = DEFAULT_SIZE_SHA256[case]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_default_size_output_sha256_on_numpy_baseline_loops():
+    """The four pinned runs give the same bytes on numpy's baseline loops.
+
+    A child interpreter runs them with ``NPY_DISABLE_CPU_FEATURES`` naming
+    every dispatch target numpy found on this host (AVX2, AVX-512 and the
+    like), so its ufuncs take the baseline SIMD path, whose last bits can
+    differ; the variable is set only in the child's environment.  On a host
+    where numpy finds no target beyond its baseline, the list is empty and
+    the test compares the baseline with itself.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    code = (
+        "import contextlib, hashlib, io, json, sys\n"
+        f"from {umath.__name__} import __cpu_features__\n"
+        "from auesim.cli import main\n"
+        "digests = {}\n"
+        "for case, argv in json.loads(sys.argv[1]).items():\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0\n"
+        "    digests[case] = hashlib.sha256(out.getvalue().encode()).hexdigest()\n"
+        "on = [t for t in json.loads(sys.argv[2]) if __cpu_features__.get(t)]\n"
+        "print(json.dumps([on, digests]))\n"
+    )
+    src = Path(auesim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    # numpy refuses to import with both variables set
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    argvs = {case: argv for case, (argv, _) in DEFAULT_SIZE_SHA256.items()}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs), json.dumps(targets)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    still_on, digests = json.loads(proc.stdout)
+    assert still_on == []
+    assert digests == {case: digest for case, (_, digest) in DEFAULT_SIZE_SHA256.items()}

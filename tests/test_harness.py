@@ -33,8 +33,9 @@ from auesim.harness import (
     write_json,
 )
 from auesim.model import CfoKind, CfoModel, SystemConfig
-from auesim.reference import collect_estimates, nrmse
 from auesim.theory import nrmse_eig_sum_theory
+
+from oracles import collect_estimates, nrmse
 
 BASE_CFG = SystemConfig(
     n_potential=100,

@@ -24,7 +24,8 @@ from auesim.model import (
     draw_wishart,
 )
 from auesim.harness import snr_db_to_noise_variance
-from auesim.reference import (
+
+from oracles import (
     collect_estimates,
     draw_cfos,
     generate_received,

@@ -28,7 +28,8 @@ from auesim.harness import (
     run_sweep,
 )
 from auesim.model import CfoKind, CfoModel, SystemConfig
-from auesim.reference import collect_estimates
+
+from oracles import collect_estimates
 
 PROFILE = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 

@@ -8,8 +8,9 @@ import pytest
 
 from auesim.estimators import characteristic_function
 from auesim.model import CfoModel, SystemConfig
-from auesim.reference import CovarianceMoments, generate_received, moment_oracles, sample_covariance
 from auesim.theory import MAX_POWER, nrmse_eig_sum_theory
+
+from oracles import CovarianceMoments, generate_received, moment_oracles, sample_covariance
 
 ALPHA_UNIFORM_015 = 0.8583936913341694
 
