@@ -214,7 +214,7 @@ def usage() -> str:
 
 
 def _build_config(args: dict[str, Any]) -> ExperimentConfig:
-    cfo = CfoModel(kind=CfoKind(args["cfo"]), epsilon_max=args["eps_max"])
+    cfo = CfoModel(kind=args["cfo"], epsilon_max=args["eps_max"])
     base = SystemConfig(
         n_potential=args["n"],
         k_active=args["k"],
@@ -227,7 +227,7 @@ def _build_config(args: dict[str, Any]) -> ExperimentConfig:
         schemes=args["schemes"],
         trials=args["trials"],
         master_seed=args["seed"],
-        axis=SweepAxis(args.get("axis", SweepAxis.NONE.value)),
+        axis=args.get("axis", SweepAxis.NONE),
         values=args.get("values", ()),
         emit_theory=args["theory"],
     )

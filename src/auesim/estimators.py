@@ -8,7 +8,8 @@ All four schemes reduce to scalar statistics of (r1, r2, r12):
     mle          (r1 + r2 + 2 Re(r12))/4 - sigma_z^2 / 2
 
 where alpha = E[e^{j omega}] is the characteristic function of the CFO
-distribution evaluated at 1.  The first two are the sum and difference of the
+distribution evaluated at 1: the offset law's, read from its home,
+``model.CfoModel.alpha``.  The first two are the sum and difference of the
 covariance eigenvalues recentred by their known population offsets; the
 orthogonal scheme correlates the two received symbols directly, and the mle
 scheme is the maximum-likelihood count for the zero-offset model.  What sets
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .covariance import CovarianceBlock
-from .model import CfoKind, CfoModel, as_int
+from .model import as_int
 
 # below this the eig-diff division by alpha amplifies covariance noise past
 # any useful range, and alpha = 0 (offsets near half the symbol rate) would
@@ -49,21 +50,6 @@ class Scheme(enum.Enum):
 
 class EstimatorDomainError(ValueError):
     """A scheme was evaluated outside the parameter region where it is defined."""
-
-
-def characteristic_function(cfo: CfoModel) -> float:
-    """alpha = E[e^{j omega}] of the offset distribution; real since omega is symmetric.
-
-    Uniform on [-a, a] gives sin(a)/a with a = 2*pi*epsilon_max; Gaussian with
-    std a/3 gives exp(-a^2/18); no offset (epsilon_max = 0) gives 1.
-    """
-    if cfo.epsilon_max == 0.0:
-        return 1.0
-    bound = cfo.omega_max
-    if cfo.kind is CfoKind.UNIFORM:
-        return math.sin(bound) / bound
-    std = bound / 3.0
-    return math.exp(-0.5 * std * std)
 
 
 def _clamped_counts(values: np.ndarray, n_potential: int) -> np.ndarray:

@@ -3,9 +3,9 @@
 An ``ExperimentConfig`` is the one record a run reads: a base
 configuration, the schemes, trials and seed, and at most one swept axis
 with its values.  It is checked, point by point, when it is built, and
-holds the configuration and alpha of every point; ``run_sweep`` checks
-that every scheme is defined at each alpha and turns the record into
-``SweepRow`` results.  A single point is a sweep of one.
+holds the configuration of every point; ``run_sweep`` checks that every
+scheme is defined at each point's alpha, which its offset model holds,
+and turns the record into ``SweepRow`` results.  A single point is a sweep of one.
 
 Reproducibility contract (stream 0.4.0): the trials of a point are cut into
 fixed blocks of ``BLOCK`` consecutive trials, the last one short.  Block
@@ -53,7 +53,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from . import model
-from .estimators import EstimatorDomainError, Scheme, characteristic_function, check_domain, estimate_counts
+from .estimators import EstimatorDomainError, Scheme, check_domain, estimate_counts
 from .model import CfoModel, SystemConfig
 from .theory import nrmse_eig_sum_theory
 
@@ -100,10 +100,11 @@ class ExperimentConfig:
     it: the schemes, trials and seed, the shape of the sweep values (their
     number, that they are finite, and that the M and K axes take integers),
     and the configuration of every point, which ``points`` holds in sweep
-    order.  ``axis`` ``NONE`` with no values is a single point, a sweep of
-    one.  ``schemes`` is an ordered tuple rather than a set: output rows
-    follow it, and a canonical order is what makes repeated runs
-    byte-identical.
+    order; the alpha of a point is its ``cfo.alpha``.  ``axis`` ``NONE``
+    with no values is a single point, a sweep of one; ``axis`` may be given
+    by its CLI spelling and is stored as the ``SweepAxis`` member.
+    ``schemes`` is an ordered tuple rather than a set: output rows follow
+    it, and a canonical order is what makes repeated runs byte-identical.
     """
 
     base: SystemConfig
@@ -115,6 +116,10 @@ class ExperimentConfig:
     emit_theory: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, SystemConfig):
+            raise ValueError(f"base must be a SystemConfig, got {self.base!r}")
+        # every reader tests the member by identity, so a spelling must not survive
+        object.__setattr__(self, "axis", SweepAxis(self.axis))
         schemes = tuple(self.schemes)
         object.__setattr__(self, "schemes", schemes)
         if not schemes:
@@ -162,11 +167,6 @@ class ExperimentConfig:
         """The configuration of every point, in the order of ``axis_values``."""
         return tuple(apply_axis_value(self.base, self.axis, v) for v in self.axis_values)
 
-    @functools.cached_property
-    def alphas(self) -> tuple[float, ...]:
-        """The characteristic function alpha of every point's offset model, in the order of ``points``."""
-        return tuple(characteristic_function(cfg.cfo) for cfg in self.points)
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -198,8 +198,9 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
     return noise_variance
 
 
-def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -> SystemConfig:
-    """Configuration for one sweep point: ``base`` with ``axis`` set to ``value``."""
+def apply_axis_value(base: SystemConfig, axis: SweepAxis | str, value: float | None) -> SystemConfig:
+    """Configuration for one sweep point: ``base`` with ``axis``, or its spelling, set to ``value``."""
+    axis = SweepAxis(axis)
     if axis is SweepAxis.NONE:
         return base
     if value is None:
@@ -212,7 +213,7 @@ def apply_axis_value(base: SystemConfig, axis: SweepAxis, value: float | None) -
         m_antennas = int(value)
     elif axis is SweepAxis.SNR_DB:
         noise_variance = snr_db_to_noise_variance(float(value))
-    else:
+    elif axis is SweepAxis.ACTIVE_USERS:
         k_active = int(value)
     return SystemConfig(base.n_potential, k_active, m_antennas, noise_variance, cfo)
 
@@ -229,9 +230,9 @@ def _check_domain(config: ExperimentConfig) -> None:
     scheme is an ``EstimatorDomainError``, which callers tell apart from a
     bad configuration.
     """
-    for value, alpha in zip(config.axis_values, config.alphas):
+    for value, cfg in zip(config.axis_values, config.points):
         try:
-            check_domain(config.schemes, alpha)
+            check_domain(config.schemes, cfg.cfo.alpha)
         except EstimatorDomainError as exc:
             where = "single point" if value is None else f"{config.axis.value} = {value}"
             raise EstimatorDomainError(f"{where}: {exc}") from exc
@@ -263,7 +264,7 @@ def _evaluate_pass(config: ExperimentConfig, points: range, blocks: range) -> np
     noise_variance = _per_point([cfg.noise_variance for cfg in cfgs])
     m_antennas = _per_point([cfg.m_antennas for cfg in cfgs])
     cov = model.bartlett_covariance(draws, k_active, m_antennas, noise_variance)
-    alpha = _per_point([config.alphas[p] for p in points])
+    alpha = _per_point([cfg.cfo.alpha for cfg in cfgs])
     # no sweep axis changes the population size
     errors = estimate_counts(config.schemes, cov, noise_variance, alpha, config.base.n_potential) - k_active
     errors *= errors
@@ -335,12 +336,12 @@ def run_sweep(config: ExperimentConfig, *, workers: int = 1) -> tuple[SweepRow, 
     axis, trials, seed = config.axis.value, config.trials, config.master_seed
     rows: list[SweepRow] = []
     # the sums are Python integers already; tolist hands them over without a numpy round trip
-    for value, cfg, alpha, point_sums in zip(
-        config.axis_values, config.points, config.alphas, sums.T.tolist()
-    ):
+    for value, cfg, point_sums in zip(config.axis_values, config.points, sums.T.tolist()):
         theory_value = None
         if config.emit_theory:
-            theory_value = nrmse_eig_sum_theory(cfg.k_active, cfg.m_antennas, cfg.noise_variance, alpha)
+            theory_value = nrmse_eig_sum_theory(
+                cfg.k_active, cfg.m_antennas, cfg.noise_variance, cfg.cfo.alpha
+            )
         for scheme, total in zip(config.schemes, point_sums):
             theory = theory_value if scheme is Scheme.EIG_SUM else None
             nrmse_sim = _nrmse_of_sum(total, trials, cfg.k_active)

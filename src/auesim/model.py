@@ -29,6 +29,7 @@ synthesised only by the direct model of the test oracles
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import operator
@@ -94,14 +95,15 @@ class CfoKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CfoModel:
-    """CFO distribution with worst-case normalized offset ``epsilon_max``.
+    """CFO distribution with worst-case normalized offset ``epsilon_max``: the one home of the offset law.
 
     ``UNIFORM`` draws omega uniformly on [-2*pi*epsilon_max, 2*pi*epsilon_max].
     ``GAUSSIAN`` draws omega from N(0, (2*pi*epsilon_max / 3)^2), untruncated,
     so the nominal worst case sits at three standard deviations.
     ``epsilon_max = 0`` pins every offset to zero under either kind, and
     values above ``MAX_EPSILON`` are rejected.  ``kind`` may be given by its
-    CLI spelling and is stored as the ``CfoKind`` member.
+    CLI spelling and is stored as the ``CfoKind`` member.  The sampler scales
+    its unit draws by ``draw_scale`` and eig-diff reads ``alpha``: one law.
     """
 
     kind: CfoKind
@@ -118,6 +120,20 @@ class CfoModel:
     def omega_max(self) -> float:
         """Worst-case offset in radians per symbol, 2*pi*epsilon_max."""
         return 2.0 * math.pi * self.epsilon_max
+
+    @property
+    def draw_scale(self) -> float:
+        """omega per unit draw: omega_max for uniform U(-1, 1), omega_max / 3 for Gaussian N(0, 1)."""
+        return self.omega_max / 3.0 if self.kind is CfoKind.GAUSSIAN else self.omega_max
+
+    @functools.cached_property
+    def alpha(self) -> float:
+        """E[e^{j omega}]: 1 if epsilon_max = 0, else sin(a)/a for U(-a, a), exp(-s^2/2) for N(0, s^2)."""
+        if self.epsilon_max == 0.0:
+            return 1.0
+        if self.kind is CfoKind.UNIFORM:
+            return math.sin(self.omega_max) / self.omega_max
+        return math.exp(-0.5 * self.draw_scale * self.draw_scale)
 
     @classmethod
     def uniform(cls, epsilon_max: float) -> "CfoModel":
@@ -164,6 +180,8 @@ class SystemConfig:
             raise ValueError(
                 f"noise_variance must lie in (0, {MAX_NOISE_VARIANCE:g}], got {self.noise_variance}"
             )
+        if not isinstance(self.cfo, CfoModel):
+            raise ValueError(f"cfo must be a CfoModel, got {self.cfo!r}")
 
 
 class WishartDraws(NamedTuple):
@@ -200,8 +218,8 @@ def draw_wishart(
     parts, then the imaginary parts), drawn once for all rows, and then the
     unit offsets, user-major: B for user 0, then B for user 1, up to the
     largest K.  They are u ~ U(-1, 1) for uniform CFO and z ~ N(0, 1) for
-    Gaussian CFO, and configuration i scales them by its omega_max or
-    omega_max / 3.  The gammas, B a11^2 ~ Gamma(M) then B a22^2 ~
+    Gaussian CFO, and configuration i scales them by its
+    ``cfo.draw_scale``.  The gammas, B a11^2 ~ Gamma(M) then B a22^2 ~
     Gamma(M - 1), come from that entry state advanced by ``GAMMA_OFFSET``
     draws, once per distinct M, into the first row of that M, which the
     other rows of that M copy.  So every configuration gets exactly the
@@ -228,7 +246,7 @@ def draw_wishart(
     # M -> the rows that take the gammas of that M
     rows_of: dict[int, list[int]] = {}
     for row, cfg in enumerate(cfgs):
-        scale = cfg.cfo.omega_max / (3.0 if gaussian else 1.0)
+        scale = cfg.cfo.draw_scale
         if scale == 0.0 or cfg.k_active == 0:
             # every phasor is exactly 1, so the running sum is exactly K
             out.g[row] = cfg.k_active

@@ -161,7 +161,7 @@ def collect_estimates(
     """
     config = ExperimentConfig(base=cfg, schemes=tuple(schemes), trials=trials, master_seed=seed)
     _check_domain(config)
-    alpha = config.alphas[0]
+    alpha = cfg.cfo.alpha
     counts = []
     for block, lo in enumerate(range(0, trials, BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))

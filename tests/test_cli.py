@@ -878,8 +878,10 @@ class TestEntryPoints:
             estimators: (
                 "estimate", "statistic", "Covariance", "EstimatorContext", "_STATISTICS",
                 "_extremes", "eig_sum_statistic", "eig_diff_statistic", "orthogonal_statistic", "mle_statistic",
+                "characteristic_function",
             ),
             harness: ("nrmse",),
+            harness.ExperimentConfig: ("alphas",),
             theory: ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
             oracles: (
                 "gamma_exact", "population_eigenvalues", "_GAMMA_TOL",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from auesim.covariance import CovarianceBlock, check_entries
 from auesim.estimators import (
@@ -14,14 +13,12 @@ from auesim.estimators import (
     EstimatorDomainError,
     Scheme,
     _clamped_counts,
-    characteristic_function,
     check_domain,
     estimate_counts,
     multiplication_count,
     statistics,
 )
 from auesim.harness import MAX_POPULATION
-from auesim.model import CfoModel
 
 from oracles import eigenvalues, sample_covariance
 
@@ -51,40 +48,6 @@ def one_cov(r1, r2, r12):
 
 def cov_with_cross(real_cross, diag=10.0):
     return one_cov(diag, diag, complex(real_cross, 0.0))
-
-
-class TestCharacteristicFunction:
-    def test_uniform_frozen_value(self):
-        assert characteristic_function(CfoModel.uniform(0.15)) == pytest.approx(
-            0.858393691334, rel=1e-11
-        )
-
-    def test_gaussian_frozen_value(self):
-        assert characteristic_function(CfoModel.gaussian(0.15)) == pytest.approx(
-            0.951849807369, rel=1e-11
-        )
-
-    def test_no_offset_gives_one(self):
-        assert characteristic_function(CfoModel.uniform(0.0)) == 1.0
-        assert characteristic_function(CfoModel.gaussian(0.0)) == 1.0
-
-    @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3])
-    def test_uniform_matches_quadrature(self, eps):
-        """Closed form against direct numerical integration of E[cos(omega)]."""
-        a = 2.0 * math.pi * eps
-        expected, _ = integrate.quad(lambda w: math.cos(w) / (2.0 * a), -a, a)
-        assert characteristic_function(CfoModel.uniform(eps)) == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3])
-    def test_gaussian_matches_quadrature(self, eps):
-        std = 2.0 * math.pi * eps / 3.0
-        density = lambda w: math.exp(-0.5 * (w / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
-        expected, _ = integrate.quad(lambda w: math.cos(w) * density(w), -10 * std, 10 * std)
-        assert characteristic_function(CfoModel.gaussian(eps)) == pytest.approx(expected, rel=1e-10)
-
-    def test_decreases_with_spread(self):
-        values = [characteristic_function(CfoModel.uniform(e)) for e in (0.0, 0.1, 0.2, 0.3, 0.4)]
-        assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestStatistics:

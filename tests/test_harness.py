@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from auesim import estimators, harness, model
-from auesim.estimators import EstimatorDomainError, Scheme, characteristic_function
+from auesim.estimators import EstimatorDomainError, Scheme
 from auesim.harness import (
     BLOCK,
     CSV_HEADER,
@@ -548,7 +548,7 @@ class TestRunPoint:
 
     def test_tracks_theory_at_reference_point(self):
         """A moderate run should land within 5% of the closed-form value, any seed."""
-        alpha = characteristic_function(BASE_CFG.cfo)
+        alpha = BASE_CFG.cfo.alpha
         expected = nrmse_eig_sum_theory(25, 32, 0.1, alpha)
         out = point_nrmse(BASE_CFG, (Scheme.EIG_SUM,), 5000, seed=31)
         assert out[Scheme.EIG_SUM] == pytest.approx(expected, rel=0.05)
@@ -588,24 +588,37 @@ class TestMemory:
 
 
 class TestApplyAxisValue:
-    def test_epsilon(self):
-        cfg = apply_axis_value(BASE_CFG, SweepAxis.EPSILON_MAX, 0.3)
+    # each axis also by its spelling: "snr" gave K = 20 at the base noise, and "m" swept K
+    @pytest.mark.parametrize("axis", [SweepAxis.EPSILON_MAX, "epsilon"])
+    def test_epsilon(self, axis):
+        cfg = apply_axis_value(BASE_CFG, axis, 0.3)
         assert cfg.cfo.epsilon_max == 0.3
         assert cfg.cfo.kind is BASE_CFG.cfo.kind
         assert cfg.m_antennas == BASE_CFG.m_antennas
 
-    def test_antennas(self):
-        assert apply_axis_value(BASE_CFG, SweepAxis.ANTENNAS, 64.0).m_antennas == 64
+    @pytest.mark.parametrize("axis", [SweepAxis.ANTENNAS, "m"])
+    def test_antennas(self, axis):
+        cfg = apply_axis_value(BASE_CFG, axis, 64.0)
+        assert (cfg.m_antennas, cfg.k_active) == (64, BASE_CFG.k_active)
 
-    def test_snr(self):
-        cfg = apply_axis_value(BASE_CFG, SweepAxis.SNR_DB, 20.0)
+    @pytest.mark.parametrize("axis", [SweepAxis.SNR_DB, "snr"])
+    def test_snr(self, axis):
+        cfg = apply_axis_value(BASE_CFG, axis, 20.0)
         assert cfg.noise_variance == pytest.approx(0.01, rel=1e-12)
+        assert cfg.k_active == BASE_CFG.k_active
 
-    def test_active_users(self):
-        assert apply_axis_value(BASE_CFG, SweepAxis.ACTIVE_USERS, 45.0).k_active == 45
+    @pytest.mark.parametrize("axis", [SweepAxis.ACTIVE_USERS, "k"])
+    def test_active_users(self, axis):
+        assert apply_axis_value(BASE_CFG, axis, 45.0).k_active == 45
 
-    def test_none_returns_base(self):
-        assert apply_axis_value(BASE_CFG, SweepAxis.NONE, None) is BASE_CFG
+    @pytest.mark.parametrize("axis", [SweepAxis.NONE, "none"])
+    def test_none_returns_base(self, axis):
+        assert apply_axis_value(BASE_CFG, axis, None) is BASE_CFG
+
+    @pytest.mark.parametrize("axis", ["bogus", "K", None])
+    def test_rejects_unknown_axis(self, axis):
+        with pytest.raises(ValueError):
+            apply_axis_value(BASE_CFG, axis, 1.0)
 
     def test_snr_conversion_helper(self):
         assert snr_db_to_noise_variance(10.0) == pytest.approx(0.1, rel=1e-12)
@@ -684,12 +697,28 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "axis,value",
-        [(SweepAxis.ANTENNAS, 0.0), (SweepAxis.ACTIVE_USERS, 0.0), (SweepAxis.EPSILON_MAX, -0.1)],
+        [
+            (SweepAxis.ANTENNAS, 0.0),
+            (SweepAxis.ACTIVE_USERS, 0.0),
+            (SweepAxis.EPSILON_MAX, -0.1),
+            # an unknown axis swept K: "bogus" built a K = 1 point
+            ("bogus", 1.0),
+            ("K", 5.0),
+            (None, 5.0),
+        ],
     )
     def test_rejects_bad_values(self, axis, value):
         """Out-of-range sweep values fail when the config builds their point."""
         with pytest.raises(ValueError):
             small_config(axis=axis, values=(value,))
+
+    @pytest.mark.parametrize(
+        "base", [None, "uniform", CfoModel.uniform(0.15), dataclasses.asdict(BASE_CFG)]
+    )
+    def test_rejects_a_base_that_is_not_a_system_config(self, base):
+        """``base=None`` raised ``AttributeError`` from the population check."""
+        with pytest.raises(ValueError, match="base must be a SystemConfig"):
+            small_config(base=base)
 
     def test_checks_active_users_at_every_point(self):
         """K >= 1 is required of each point, not of the base: a K sweep replaces the base K."""
@@ -720,11 +749,16 @@ class TestExperimentConfig:
         ],
     )
     @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
-    def test_alphas_follow_the_points(self, axis, values, kind):
+    def test_points_share_the_base_offset_model(self, axis, values, kind):
+        """Only an epsilon sweep makes offset models; every other axis keeps the
+        base's, so its alpha is computed once per run."""
         base = dataclasses.replace(BASE_CFG, cfo=CfoModel(kind, 0.15))
         config = small_config(base=base, axis=axis, values=values)
-        assert config.alphas == tuple(characteristic_function(cfg.cfo) for cfg in config.points)
-        assert all(type(alpha) is float for alpha in config.alphas)
+        if axis is SweepAxis.EPSILON_MAX:
+            assert [cfg.cfo for cfg in config.points] == [CfoModel(kind, v) for v in values]
+        else:
+            assert all(cfg.cfo is base.cfo for cfg in config.points)
+        assert all(type(cfg.cfo.alpha) is float for cfg in config.points)
 
     def test_undefined_scheme_fails_in_the_run(self):
         """A point where eig-diff is undefined builds; the runner and the
@@ -732,7 +766,7 @@ class TestExperimentConfig:
         config = small_config(
             axis=SweepAxis.EPSILON_MAX, values=(0.15, 0.5), schemes=(Scheme.EIG_DIFF,), trials=5
         )
-        assert config.alphas[1] <= estimators.ALPHA_MIN
+        assert config.points[1].cfo.alpha <= estimators.ALPHA_MIN
         with pytest.raises(EstimatorDomainError, match="epsilon = 0.5: characteristic function too small"):
             run_sweep(config)
         with pytest.raises(EstimatorDomainError, match="single point: characteristic function too small"):
@@ -769,7 +803,7 @@ class TestRunSweep:
             schemes=(Scheme.EIG_SUM,),
         )
         result = run_sweep(config)
-        alpha = characteristic_function(BASE_CFG.cfo)
+        alpha = BASE_CFG.cfo.alpha
         assert result[0].nrmse_theory == pytest.approx(
             nrmse_eig_sum_theory(25, 32, 1.0, alpha), rel=1e-12
         )
@@ -788,6 +822,26 @@ class TestRunSweep:
         """Zero or negative workers ran serially, where the CLI's ``--workers 0`` exits 2."""
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             run_sweep(small_config(), workers=workers)
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [
+            (SweepAxis.NONE, ()),
+            (SweepAxis.ANTENNAS, (16.0, 64.0)),
+            (SweepAxis.SNR_DB, (0.0, 20.0)),
+            (SweepAxis.ACTIVE_USERS, (5.0, 45.0)),
+            (SweepAxis.EPSILON_MAX, (0.0, 0.3)),
+        ],
+    )
+    def test_spelled_axis_gives_the_member_rows(self, axis, values):
+        """An axis given as its spelling swept K: ``axis="m"`` built K = 16 and
+        K = 64 at M = 32, and ``run_sweep`` then raised ``AttributeError``."""
+        member = small_config(axis=axis, values=values, trials=300)
+        spelled = small_config(axis=axis.value, values=values, trials=300)
+        assert spelled.axis is axis
+        assert spelled == member
+        assert spelled.points == member.points
+        assert run_sweep(spelled) == run_sweep(member)
 
     @pytest.mark.parametrize("kind", list(CfoKind))
     def test_spelled_cfo_kind_gives_the_member_rows(self, kind):
@@ -863,7 +917,7 @@ class TestDeterminism:
 class TestStatisticalBehaviour:
     def test_gap_to_theory_shrinks_with_trials(self):
         """Quadrupling trials should roughly halve the theory-simulation gap."""
-        alpha = characteristic_function(BASE_CFG.cfo)
+        alpha = BASE_CFG.cfo.alpha
         expected = nrmse_eig_sum_theory(25, 32, 0.1, alpha)
         gaps = {trials: [] for trials in (400, 1600)}
         for seed in range(12):

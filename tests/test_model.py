@@ -7,11 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from auesim import model
 from auesim.covariance import CovarianceBlock
-from auesim.estimators import ALPHA_MIN, Scheme, characteristic_function, estimate_counts
+from auesim.estimators import ALPHA_MIN, Scheme, estimate_counts
 from auesim.model import (
     MAX_ANTENNAS,
     MAX_EPSILON,
@@ -54,7 +54,7 @@ class TestCfoModel:
     @pytest.mark.parametrize("kind", list(CfoKind))
     def test_spelled_kind_is_stored_as_the_member(self, kind):
         """A kind given by its CLI spelling was stored as the string, which the
-        sampler read as uniform and ``characteristic_function`` as Gaussian."""
+        sampler read as uniform and the alpha of the eig-diff scheme as Gaussian."""
         cfo = CfoModel(kind.value, 0.15)
         assert cfo.kind is kind
         assert cfo == CfoModel(kind, 0.15)
@@ -74,6 +74,82 @@ class TestCfoModel:
         assert CfoModel.gaussian(MAX_EPSILON).epsilon_max == 1e6
         with pytest.raises(ValueError, match=r"\[0, 1e\+06\]"):
             CfoModel.gaussian(1e300)
+
+    def test_draw_scale_is_omega_per_unit_draw(self):
+        assert CfoModel.uniform(0.15).draw_scale == CfoModel.uniform(0.15).omega_max
+        assert CfoModel.gaussian(0.15).draw_scale == CfoModel.gaussian(0.15).omega_max / 3.0
+        assert CfoModel.gaussian(0.0).draw_scale == 0.0
+
+    def test_alpha_uniform_frozen_value(self):
+        assert CfoModel.uniform(0.15).alpha == pytest.approx(0.858393691334, rel=1e-11)
+
+    def test_alpha_gaussian_frozen_value(self):
+        assert CfoModel.gaussian(0.15).alpha == pytest.approx(0.951849807369, rel=1e-11)
+
+    def test_alpha_no_offset_gives_one(self):
+        assert CfoModel.uniform(0.0).alpha == 1.0
+        assert CfoModel.gaussian(0.0).alpha == 1.0
+
+    @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3])
+    def test_alpha_uniform_matches_quadrature(self, eps):
+        """Closed form against direct numerical integration of E[cos(omega)]."""
+        a = 2.0 * math.pi * eps
+        expected, _ = integrate.quad(lambda w: math.cos(w) / (2.0 * a), -a, a)
+        assert CfoModel.uniform(eps).alpha == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3])
+    def test_alpha_gaussian_matches_quadrature(self, eps):
+        std = 2.0 * math.pi * eps / 3.0
+        density = lambda w: math.exp(-0.5 * (w / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+        expected, _ = integrate.quad(lambda w: math.cos(w) * density(w), -10 * std, 10 * std)
+        assert CfoModel.gaussian(eps).alpha == pytest.approx(expected, rel=1e-10)
+
+    def test_alpha_decreases_with_spread(self):
+        values = [CfoModel.uniform(e).alpha for e in (0.0, 0.1, 0.2, 0.3, 0.4)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    # alpha before it moved into CfoModel, as float.hex; the grid holds alpha ~ 4e-17
+    # at uniform 0.5, a negative uniform alpha at 0.7 and the Gaussian underflow at 1e6
+    @pytest.mark.parametrize(
+        "kind,eps,bits",
+        [
+            (CfoKind.UNIFORM, 0.0, "0x1.0000000000000p+0"),
+            (CfoKind.UNIFORM, 1e-300, "0x1.0000000000000p+0"),
+            (CfoKind.UNIFORM, 1e-08, "0x1.ffffffffffffap-1"),
+            (CfoKind.UNIFORM, 0.05, "0x1.f79e9114b55dcp-1"),
+            (CfoKind.UNIFORM, 0.15, "0x1.b77f60bebee61p-1"),
+            (CfoKind.UNIFORM, 0.3, "0x1.02548755aac3ep-1"),
+            (CfoKind.UNIFORM, 0.45, "0x1.bfa964842f6ffp-4"),
+            (CfoKind.UNIFORM, 0.5, "0x1.678afae35cdd1p-55"),
+            (CfoKind.UNIFORM, 0.7, "-0x1.bada0c92db98ep-3"),
+            (CfoKind.UNIFORM, 1.0, "-0x1.678afae35cdd1p-55"),
+            (CfoKind.UNIFORM, 10.0, "-0x1.678afae35cdd2p-55"),
+            (CfoKind.UNIFORM, 1000000.0, "-0x1.47a1eaca67576p-54"),
+            (CfoKind.GAUSSIAN, 0.0, "0x1.0000000000000p+0"),
+            (CfoKind.GAUSSIAN, 1e-300, "0x1.0000000000000p+0"),
+            (CfoKind.GAUSSIAN, 1e-08, "0x1.ffffffffffffep-1"),
+            (CfoKind.GAUSSIAN, 0.05, "0x1.fd3348b7b3c0dp-1"),
+            (CfoKind.GAUSSIAN, 0.15, "0x1.e758dba2b5b95p-1"),
+            (CfoKind.GAUSSIAN, 0.3, "0x1.a448e78f37ea5p-1"),
+            (CfoKind.GAUSSIAN, 0.45, "0x1.48630a9987e1cp-1"),
+            (CfoKind.GAUSSIAN, 0.5, "0x1.27e5c5a3f5fe8p-1"),
+            (CfoKind.GAUSSIAN, 0.7, "0x1.5d98e020f55eep-2"),
+            (CfoKind.GAUSSIAN, 1.0, "0x1.c8ecf923184dep-4"),
+            (CfoKind.GAUSSIAN, 10.0, "0x1.7f1925b40544fp-317"),
+            (CfoKind.GAUSSIAN, 1000000.0, "0x0.0p+0"),
+        ],
+    )
+    def test_alpha_bits_are_pinned(self, kind, eps, bits):
+        alpha = CfoModel(kind, eps).alpha
+        assert type(alpha) is float
+        assert alpha.hex() == bits
+
+    def test_alpha_is_computed_once(self):
+        cfo = CfoModel.gaussian(0.15)
+        assert "alpha" not in vars(cfo)
+        assert cfo.alpha is cfo.alpha
+        assert vars(cfo)["alpha"] is cfo.alpha
+        assert cfo == CfoModel.gaussian(0.15) and hash(cfo) == hash(CfoModel.gaussian(0.15))
 
 
 class TestDrawCfos:
@@ -156,6 +232,10 @@ class TestSystemConfig:
             dict(m_antennas=MAX_ANTENNAS + 1),
             dict(m_antennas=2**1023),
             dict(m_antennas=10**400),
+            # an offset model of the wrong type built, and the run failed later
+            dict(cfo=None),
+            dict(cfo="uniform"),
+            dict(cfo=CfoKind.UNIFORM),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -307,7 +387,7 @@ class TestSampleWishart:
 
     def test_moments_match_oracles(self):
         trials = 100_000
-        alpha = characteristic_function(BASE_CFG.cfo)
+        alpha = BASE_CFG.cfo.alpha
         oracle = moment_oracles(BASE_CFG.k_active, BASE_CFG.noise_variance, alpha, BASE_CFG.m_antennas)
         rng = np.random.default_rng(7101)
         blocks = [sample_wishart(BASE_CFG, 10_000, rng) for _ in range(trials // 10_000)]
@@ -428,7 +508,7 @@ class TestCountLaw:
     @pytest.mark.parametrize("index,name", enumerate(POINTS), ids=list(POINTS))
     def test_histograms_match_direct_model(self, index, name):
         cfg = self.POINTS[name]
-        alpha = characteristic_function(cfg.cfo)
+        alpha = cfg.cfo.alpha
         assert name != "alpha-near-limit" or ALPHA_MIN < alpha <= 2 * ALPHA_MIN
         schemes = tuple(Scheme)
         production = collect_estimates(cfg, schemes, 20_000, seed=7301 + index)

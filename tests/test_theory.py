@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from auesim.estimators import characteristic_function
 from auesim.model import CfoModel, SystemConfig
 from auesim.theory import MAX_POWER, nrmse_eig_sum_theory
 
@@ -105,7 +104,7 @@ class TestMomentOracles:
             noise_variance=0.1,
             cfo=CfoModel.uniform(0.15),
         )
-        alpha = characteristic_function(cfg.cfo)
+        alpha = cfg.cfo.alpha
         oracle = moment_oracles(25, 0.1, alpha, cfg.m_antennas)
         rng = np.random.default_rng(53)
         r1 = np.array([sample_covariance(generate_received(cfg, rng)).r1 for _ in range(4000)])
