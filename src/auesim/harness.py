@@ -89,20 +89,17 @@ class SweepAxis(enum.Enum):
     NONE = "none"
 
 
-_INTEGER_AXES = frozenset({SweepAxis.ANTENNAS, SweepAxis.ACTIVE_USERS})
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment; results are a pure function of it.
 
     This is the one request the runners take, and building it checks all of
-    it: the schemes, trials and seed, the shape of the sweep values (their
-    number, that they are finite, and that the M and K axes take integers),
-    and the configuration of every point, which ``points`` holds in sweep
-    order; the alpha of a point is its ``cfo.alpha``.  ``axis`` ``NONE``
-    with no values is a single point, a sweep of one; ``axis`` may be given
-    by its CLI spelling and is stored as the ``SweepAxis`` member.
+    it: the schemes, trials and seed, the sweep values (their number, and
+    that they are finite reals, stored as Python floats), and the
+    configuration of every point, which ``points`` holds in sweep order; the
+    alpha of a point is its ``cfo.alpha``.  ``axis`` ``NONE`` with no values
+    is a single point, a sweep of one; ``axis`` may be given by its CLI
+    spelling and is stored as the ``SweepAxis`` member.
     ``schemes`` is an ordered tuple rather than a set: output rows follow
     it, and a canonical order is what makes repeated runs byte-identical.
     """
@@ -120,6 +117,12 @@ class ExperimentConfig:
             raise ValueError(f"base must be a SystemConfig, got {self.base!r}")
         # every reader tests the member by identity, so a spelling must not survive
         object.__setattr__(self, "axis", SweepAxis(self.axis))
+        for name in ("schemes", "values"):
+            items = getattr(self, name)
+            if isinstance(items, (str, bytes)) or not hasattr(items, "__iter__"):
+                raise ValueError(f"{name} must be a sequence, got {items!r}")
+        if type(self.emit_theory) is not bool:
+            raise ValueError(f"emit_theory must be a bool, got {self.emit_theory!r}")
         schemes = tuple(self.schemes)
         object.__setattr__(self, "schemes", schemes)
         if not schemes:
@@ -137,10 +140,7 @@ class ExperimentConfig:
         if self.base.n_potential > MAX_POPULATION:
             raise ValueError(f"population size {self.base.n_potential} exceeds MAX_POPULATION = "
                              f"{MAX_POPULATION}, the largest whose error sums stay exact in int64")
-        try:
-            values = tuple(float(v) for v in self.values)
-        except OverflowError:
-            raise ValueError("sweep values must be finite, got an integer past the float range") from None
+        values = tuple(model.as_real("sweep values", v) for v in self.values)
         object.__setattr__(self, "values", values)
         if self.axis is SweepAxis.NONE and values:
             raise ValueError("axis 'none' takes no sweep values")
@@ -149,8 +149,6 @@ class ExperimentConfig:
         for v in values:
             if not math.isfinite(v):
                 raise ValueError(f"sweep values must be finite, got {v}")
-            if self.axis in _INTEGER_AXES and not v.is_integer():
-                raise ValueError(f"axis '{self.axis.value}' takes integer values, got {v}")
         for cfg in self.points:
             if cfg.k_active < 1:
                 raise ValueError(
@@ -183,10 +181,7 @@ class SweepRow:
 
 def snr_db_to_noise_variance(snr_db: float) -> float:
     """Noise power at unit per-user receive power: sigma_z^2 = 10^(-SNR/10)."""
-    try:
-        snr_db = float(snr_db)
-    except OverflowError:
-        raise ValueError("snr_db must be finite, got an integer past the float range") from None
+    snr_db = model.as_real("snr_db", snr_db)
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     try:
@@ -199,21 +194,23 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
 
 
 def apply_axis_value(base: SystemConfig, axis: SweepAxis | str, value: float | None) -> SystemConfig:
-    """Configuration for one sweep point: ``base`` with ``axis``, or its spelling, set to ``value``."""
+    """Configuration for one sweep point: ``base`` with ``axis``, or its spelling, set to ``value``,
+    a real that ``model.as_real`` takes and, on the M and K axes, an integral one."""
     axis = SweepAxis(axis)
     if axis is SweepAxis.NONE:
         return base
-    if value is None:
-        raise ValueError(f"axis '{axis.value}' needs a value")
+    value = model.as_real("sweep value", value)
     # built field by field; the configuration checks the point as it is made
     k_active, m_antennas, noise_variance, cfo = base.k_active, base.m_antennas, base.noise_variance, base.cfo
     if axis is SweepAxis.EPSILON_MAX:
-        cfo = CfoModel(cfo.kind, float(value))
+        cfo = CfoModel(cfo.kind, value)
+    elif axis is SweepAxis.SNR_DB:
+        noise_variance = snr_db_to_noise_variance(value)
+    elif not value.is_integer():
+        raise ValueError(f"axis '{axis.value}' takes integer values, got {value}")
     elif axis is SweepAxis.ANTENNAS:
         m_antennas = int(value)
-    elif axis is SweepAxis.SNR_DB:
-        noise_variance = snr_db_to_noise_variance(float(value))
-    elif axis is SweepAxis.ACTIVE_USERS:
+    else:
         k_active = int(value)
     return SystemConfig(base.n_potential, k_active, m_antennas, noise_variance, cfo)
 

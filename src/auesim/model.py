@@ -73,17 +73,25 @@ MAX_ANTENNAS = 2**53
 
 
 def as_int(name: str, value: object) -> int:
-    """``value`` as a Python int, for a Python or numpy integer; ``ValueError`` for anything else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int, for a Python or numpy integer but not a bool; else ``ValueError``."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _require_real(name: str, value: object) -> None:
-    """``ValueError`` unless ``value`` is a real number, such as a Python or numpy float."""
-    if not isinstance(value, numbers.Real):
+def as_real(name: str, value: object) -> float:
+    """``value`` as a Python float, for a Python or numpy real but not a bool; else ``ValueError``."""
+    if type(value) is float:
+        return value
+    if type(value) is bool or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer past the float range") from None
 
 
 class CfoKind(enum.Enum):
@@ -102,8 +110,9 @@ class CfoModel:
     so the nominal worst case sits at three standard deviations.
     ``epsilon_max = 0`` pins every offset to zero under either kind, and
     values above ``MAX_EPSILON`` are rejected.  ``kind`` may be given by its
-    CLI spelling and is stored as the ``CfoKind`` member.  The sampler scales
-    its unit draws by ``draw_scale`` and eig-diff reads ``alpha``: one law.
+    CLI spelling and is stored as the ``CfoKind`` member, ``epsilon_max`` as
+    a Python float (``as_real``).  The sampler scales its unit draws by
+    ``draw_scale`` and eig-diff reads ``alpha``: one law.
     """
 
     kind: CfoKind
@@ -112,7 +121,7 @@ class CfoModel:
     def __post_init__(self) -> None:
         # every reader tests the member by identity, so a spelling must not survive
         object.__setattr__(self, "kind", CfoKind(self.kind))
-        _require_real("epsilon_max", self.epsilon_max)
+        object.__setattr__(self, "epsilon_max", as_real("epsilon_max", self.epsilon_max))
         if not 0.0 <= self.epsilon_max <= MAX_EPSILON:
             raise ValueError(f"epsilon_max must lie in [0, {MAX_EPSILON:g}], got {self.epsilon_max}")
 
@@ -135,14 +144,6 @@ class CfoModel:
             return math.sin(self.omega_max) / self.omega_max
         return math.exp(-0.5 * self.draw_scale * self.draw_scale)
 
-    @classmethod
-    def uniform(cls, epsilon_max: float) -> "CfoModel":
-        return cls(kind=CfoKind.UNIFORM, epsilon_max=epsilon_max)
-
-    @classmethod
-    def gaussian(cls, epsilon_max: float) -> "CfoModel":
-        return cls(kind=CfoKind.GAUSSIAN, epsilon_max=epsilon_max)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -154,7 +155,7 @@ class SystemConfig:
         k_active: number of users actually transmitting in the pilot slot.
         m_antennas: receive array size M.
         noise_variance: per-entry noise power sigma_z^2 (linear, in
-            (0, MAX_NOISE_VARIANCE]).
+            (0, MAX_NOISE_VARIANCE]), stored as a Python float (``as_real``).
         cfo: offset distribution shared by all users.
     """
 
@@ -175,7 +176,7 @@ class SystemConfig:
             )
         if not 1 <= self.m_antennas <= MAX_ANTENNAS:
             raise ValueError(f"m_antennas must lie in [1, MAX_ANTENNAS = 2**53], got {self.m_antennas}")
-        _require_real("noise_variance", self.noise_variance)
+        object.__setattr__(self, "noise_variance", as_real("noise_variance", self.noise_variance))
         if not 0.0 < self.noise_variance <= MAX_NOISE_VARIANCE:
             raise ValueError(
                 f"noise_variance must lie in (0, {MAX_NOISE_VARIANCE:g}], got {self.noise_variance}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .model import as_int
+from .model import as_int, as_real
 
 # largest K + sigma_z^2 accepted: its square, and every moment built on it,
 # stays some eight orders of magnitude below the float maximum
@@ -25,9 +25,10 @@ MAX_POWER = 1e150
 
 def _check_point(
     k_active: int, m_antennas: int, noise_variance: float, alpha: float, k_min: int
-) -> tuple[int, int]:
-    """K and M as Python ints; ``ValueError`` unless the point is one the closed forms take."""
+) -> tuple[int, int, float, float]:
+    """(K, M, sigma_z^2, alpha) as Python ints and floats; ``ValueError`` unless the closed forms take it."""
     k_active, m_antennas = as_int("k_active", k_active), as_int("m_antennas", m_antennas)
+    noise_variance, alpha = as_real("noise_variance", noise_variance), as_real("alpha", alpha)
     if k_active < k_min:
         raise ValueError(f"k_active must be >= {k_min}, got {k_active}")
     if m_antennas < 1:
@@ -43,7 +44,7 @@ def _check_point(
         )
     if not -1.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
-    return k_active, m_antennas
+    return k_active, m_antennas, noise_variance, alpha
 
 
 def nrmse_eig_sum_theory(
@@ -61,7 +62,7 @@ def nrmse_eig_sum_theory(
     top of this, which only matters when the MSE itself is order one.  K is
     at least 1, since the error is normalized by it.
     """
-    k_active, m_antennas = _check_point(k_active, m_antennas, noise_variance, alpha, k_min=1)
+    k_active, m_antennas, noise_variance, alpha = _check_point(k_active, m_antennas, noise_variance, alpha, 1)
     k = float(k_active)
     mse = (k + k * (k - 1.0) * alpha**2 + (k + noise_variance) ** 2) / (2.0 * m_antennas)
     return math.sqrt(mse) / k

@@ -123,7 +123,9 @@ def moment_oracles(k_active: int, noise_variance: float, alpha: float, m_antenna
     R1 and R2 are identically distributed, so the same numbers serve for R2.
     The point is checked as ``theory.nrmse_eig_sum_theory`` does, K = 0 allowed.
     """
-    k_active, m_antennas = _check_point(k_active, m_antennas, noise_variance, alpha, k_min=0)
+    k_active, m_antennas, noise_variance, alpha = _check_point(
+        k_active, m_antennas, noise_variance, alpha, k_min=0
+    )
     k = float(k_active)
     power = k + noise_variance
     return CovarianceMoments(

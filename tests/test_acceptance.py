@@ -24,7 +24,7 @@ from auesim.harness import (
     run_sweep,
     write_csv,
 )
-from auesim.model import CfoModel, SystemConfig
+from auesim.model import CfoKind, CfoModel, SystemConfig
 from auesim.theory import nrmse_eig_sum_theory
 
 from oracles import (
@@ -41,14 +41,14 @@ BASE_CFG = SystemConfig(
     k_active=25,
     m_antennas=32,
     noise_variance=0.1,
-    cfo=CfoModel.uniform(0.15),
+    cfo=CfoModel(CfoKind.UNIFORM, 0.15),
 )
 GAUSSIAN_CFG = SystemConfig(
     n_potential=100,
     k_active=25,
     m_antennas=32,
     noise_variance=0.1,
-    cfo=CfoModel.gaussian(0.15),
+    cfo=CfoModel(CfoKind.GAUSSIAN, 0.15),
 )
 ALL_SCHEMES = (Scheme.EIG_SUM, Scheme.EIG_DIFF, Scheme.ORTHOGONAL, Scheme.MLE)
 TRIALS = 20_000
@@ -160,7 +160,7 @@ def test_criterion_4_zero_cfo_consistency():
         k_active=25,
         m_antennas=32,
         noise_variance=0.1,
-        cfo=CfoModel.uniform(0.0),
+        cfo=CfoModel(CfoKind.UNIFORM, 0.0),
     )
     estimates = collect_estimates(cfg, ALL_SCHEMES, TRIALS, seed=404)
     values = {s: nrmse(estimates[s], cfg.k_active) for s in ALL_SCHEMES}

@@ -873,14 +873,15 @@ class TestEntryPoints:
         assert "auesim.harness" in shipped
         assert shipped == imported
         gone = {
-            model: ("sample_wishart",),
+            model: ("sample_wishart", "_require_real"),
             model.SystemConfig: ("snr_db",),
+            model.CfoModel: ("uniform", "gaussian"),
             estimators: (
                 "estimate", "statistic", "Covariance", "EstimatorContext", "_STATISTICS",
                 "_extremes", "eig_sum_statistic", "eig_diff_statistic", "orthogonal_statistic", "mle_statistic",
                 "characteristic_function",
             ),
-            harness: ("nrmse",),
+            harness: ("nrmse", "_INTEGER_AXES"),
             harness.ExperimentConfig: ("alphas",),
             theory: ("PopulationSpec", "CovarianceMoments", "moment_oracles"),
             oracles: (

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ BASE_CFG = SystemConfig(
     k_active=25,
     m_antennas=32,
     noise_variance=0.1,
-    cfo=CfoModel.uniform(0.15),
+    cfo=CfoModel(CfoKind.UNIFORM, 0.15),
 )
 ALL_SCHEMES = (Scheme.EIG_SUM, Scheme.EIG_DIFF, Scheme.ORTHOGONAL, Scheme.MLE)
 
@@ -142,7 +143,7 @@ class TestErrorSumBound:
             k_active=1,
             m_antennas=1,
             noise_variance=snr_db_to_noise_variance(-80.0),
-            cfo=CfoModel.uniform(0.15),
+            cfo=CfoModel(CfoKind.UNIFORM, 0.15),
         )
         trials = 40_000
         counts = collect_estimates(cfg, (Scheme.EIG_SUM,), trials, 7)[Scheme.EIG_SUM]
@@ -620,11 +621,33 @@ class TestApplyAxisValue:
         with pytest.raises(ValueError):
             apply_axis_value(BASE_CFG, axis, 1.0)
 
+    # M = 32.5 was truncated to 32, inf raised OverflowError, and the strings
+    # and True were read as numbers
+    @pytest.mark.parametrize(
+        "axis,value,message",
+        [
+            ("m", 32.5, "axis 'm' takes integer values, got 32.5"),
+            ("m", math.inf, "axis 'm' takes integer values, got inf"),
+            ("k", math.nan, "axis 'k' takes integer values, got nan"),
+            ("k", "25", "sweep value must be a real number, got '25'"),
+            ("k", True, "sweep value must be a real number, got True"),
+            ("epsilon", "0.2", "sweep value must be a real number, got '0.2'"),
+            ("snr", None, "sweep value must be a real number, got None"),
+        ],
+    )
+    def test_rejects_bad_values(self, axis, value, message):
+        with pytest.raises(ValueError, match=message):
+            apply_axis_value(BASE_CFG, axis, value)
+
     def test_snr_conversion_helper(self):
         assert snr_db_to_noise_variance(10.0) == pytest.approx(0.1, rel=1e-12)
         assert snr_db_to_noise_variance(0.0) == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(ValueError):
             snr_db_to_noise_variance(math.nan)
+        # "10" gave 0.1
+        for bad in ("10", True, None):
+            with pytest.raises(ValueError, match="snr_db must be a real number"):
+                snr_db_to_noise_variance(bad)
 
     def test_snr_past_the_float_range_is_a_value_error(self):
         """An integer too large for a float gave ``OverflowError`` from ``math.isfinite``."""
@@ -645,16 +668,24 @@ class TestExperimentConfig:
             small_config(axis=SweepAxis.ANTENNAS, values=())
 
     @pytest.mark.parametrize(
-        "axis,value,message",
+        "axis,values,message",
         [
-            (SweepAxis.ANTENNAS, 2.5, "axis 'm' takes integer values, got 2.5"),
-            (SweepAxis.ACTIVE_USERS, 7.5, "axis 'k' takes integer values, got 7.5"),
-            (SweepAxis.SNR_DB, math.inf, "sweep values must be finite, got inf"),
+            (SweepAxis.ANTENNAS, (2.5,), "axis 'm' takes integer values, got 2.5"),
+            (SweepAxis.ACTIVE_USERS, (7.5,), "axis 'k' takes integer values, got 7.5"),
+            (SweepAxis.SNR_DB, (math.inf,), "sweep values must be finite, got inf"),
+            # the string "64" swept M = 6 and M = 4, and ("16", "64") swept M = 16 and 64
+            (SweepAxis.ANTENNAS, "64", "values must be a sequence, got '64'"),
+            (SweepAxis.ANTENNAS, b"64", "values must be a sequence, got b'64'"),
+            (SweepAxis.ANTENNAS, ("16", "64"), "sweep values must be a real number, got '16'"),
+            (SweepAxis.ACTIVE_USERS, (True,), "sweep values must be a real number, got True"),
+            # these raised TypeError
+            (SweepAxis.ANTENNAS, 64, "values must be a sequence, got 64"),
+            (SweepAxis.ANTENNAS, None, "values must be a sequence, got None"),
         ],
     )
-    def test_rejects_bad_value_shapes(self, axis, value, message):
+    def test_rejects_bad_value_shapes(self, axis, values, message):
         with pytest.raises(ValueError, match=message):
-            small_config(axis=axis, values=(value,))
+            small_config(axis=axis, values=values)
 
     def test_rejects_sweep_value_past_the_float_range(self):
         """An integer too large for a float gave ``OverflowError`` from ``float()``."""
@@ -665,9 +696,25 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(schemes=(Scheme.MLE, Scheme.MLE))
 
-    def test_rejects_empty_schemes(self):
-        with pytest.raises(ValueError):
-            small_config(schemes=())
+    # Scheme.EIG_SUM and None raised TypeError, and "eig-sum" was read letter by letter
+    @pytest.mark.parametrize(
+        "schemes,message",
+        [
+            ((), "at least one scheme is required"),
+            ("eig-sum", "schemes must be a sequence, got 'eig-sum'"),
+            (Scheme.EIG_SUM, "schemes must be a sequence, got <Scheme.EIG_SUM"),
+            (None, "schemes must be a sequence, got None"),
+        ],
+    )
+    def test_rejects_empty_schemes(self, schemes, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(schemes=schemes)
+
+    # "no" printed the theory column
+    @pytest.mark.parametrize("emit_theory", ["no", 1, None, np.True_])
+    def test_rejects_a_theory_flag_that_is_not_a_bool(self, emit_theory):
+        with pytest.raises(ValueError, match="emit_theory must be a bool"):
+            small_config(emit_theory=emit_theory)
 
     def test_rejects_bad_trials_and_seed(self):
         with pytest.raises(ValueError):
@@ -677,7 +724,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(master_seed=2**64)
 
-    @pytest.mark.parametrize("field,value", [("trials", 300.5), ("master_seed", 1.5)])
+    # trials=True ran one trial, and master_seed=True seeded 1
+    @pytest.mark.parametrize(
+        "field,value", [("trials", 300.5), ("master_seed", 1.5), ("trials", True), ("master_seed", True)]
+    )
     def test_rejects_non_integer_counts(self, field, value):
         """A float count fails at construction, not from ``range`` or ``SeedSequence`` mid-run."""
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
@@ -690,7 +740,7 @@ class TestExperimentConfig:
 
     def test_rejects_zero_active_users(self):
         base = SystemConfig(
-            n_potential=10, k_active=0, m_antennas=4, noise_variance=0.1, cfo=CfoModel.uniform(0.0)
+            n_potential=10, k_active=0, m_antennas=4, noise_variance=0.1, cfo=CfoModel(CfoKind.UNIFORM, 0.0)
         )
         with pytest.raises(ValueError):
             small_config(base=base, axis=SweepAxis.NONE, values=())
@@ -713,7 +763,7 @@ class TestExperimentConfig:
             small_config(axis=axis, values=(value,))
 
     @pytest.mark.parametrize(
-        "base", [None, "uniform", CfoModel.uniform(0.15), dataclasses.asdict(BASE_CFG)]
+        "base", [None, "uniform", CfoModel(CfoKind.UNIFORM, 0.15), dataclasses.asdict(BASE_CFG)]
     )
     def test_rejects_a_base_that_is_not_a_system_config(self, base):
         """``base=None`` raised ``AttributeError`` from the population check."""
@@ -777,6 +827,74 @@ class TestExperimentConfig:
         """Active-user values above the population must fail at construction."""
         with pytest.raises(ValueError):
             small_config(axis=SweepAxis.ACTIVE_USERS, values=(5.0, 200.0))
+
+
+def equal_reals(value):
+    """``value`` as a numpy float32, as the float64 and as the Python number of that float32."""
+    single = np.float32(value)
+    python = int(single) if float(single).is_integer() else float(single)
+    return (single, np.float64(single), python)
+
+
+class TestRealInputs:
+    """Every real input is stored as a Python float, so a numpy float32, a float64
+    and the Python number of equal value give identical rows and theory values,
+    and none of them warns.  A float32 epsilon gave a float32 alpha and another
+    theory column, and a float32 noise power warned of an overflowing cast."""
+
+    @staticmethod
+    def rows_of(**overrides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_sweep(small_config(**overrides))
+
+    @pytest.mark.parametrize("kind", list(CfoKind))
+    def test_epsilon(self, kind):
+        bases = [dataclasses.replace(BASE_CFG, cfo=CfoModel(kind, eps)) for eps in equal_reals(0.15)]
+        assert all(type(base.cfo.epsilon_max) is float and type(base.cfo.alpha) is float for base in bases)
+        rows = [self.rows_of(base=base) for base in bases]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("snr_db", [10.0, -3.0])
+    def test_noise_power_and_base_snr(self, snr_db):
+        powers = [snr_db_to_noise_variance(snr) for snr in equal_reals(snr_db)]
+        powers += [np.float32(powers[0]), np.float64(np.float32(powers[0])), float(np.float32(powers[0]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bases = [dataclasses.replace(BASE_CFG, noise_variance=power) for power in powers]
+        assert all(type(base.noise_variance) is float for base in bases)
+        assert bases[0] == bases[1] == bases[2] and bases[3] == bases[4] == bases[5]
+        for group in (bases[:3], bases[3:]):
+            rows = [self.rows_of(base=base) for base in group]
+            assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [
+            (SweepAxis.EPSILON_MAX, (0.05, 0.2)),
+            (SweepAxis.ANTENNAS, (16, 64)),
+            (SweepAxis.SNR_DB, (0.0, 7.5)),
+            (SweepAxis.ACTIVE_USERS, (5, 40)),
+        ],
+    )
+    def test_sweep_values(self, axis, values):
+        forms = list(zip(*map(equal_reals, values)))
+        rows = [self.rows_of(axis=axis, values=form) for form in forms]
+        assert rows[0] == rows[1] == rows[2]
+        assert all(type(row.axis_value) is float for row in rows[0])
+        points = [apply_axis_value(BASE_CFG, axis, value) for value in equal_reals(values[0])]
+        assert points[0] == points[1] == points[2]
+
+    def test_theory(self):
+        alpha = CfoModel(CfoKind.UNIFORM, 0.15).alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [
+                nrmse_eig_sum_theory(25, 32, noise, a)
+                for noise, a in zip(equal_reals(0.1), equal_reals(alpha))
+            ]
+        assert values[0] == values[1] == values[2]
+        assert values[2] == nrmse_eig_sum_theory(25, 32, float(np.float32(0.1)), float(np.float32(alpha)))
 
 
 class TestRunSweep:

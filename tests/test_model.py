@@ -38,18 +38,32 @@ BASE_CFG = SystemConfig(
     k_active=25,
     m_antennas=32,
     noise_variance=0.1,
-    cfo=CfoModel.uniform(0.15),
+    cfo=CfoModel(CfoKind.UNIFORM, 0.15),
 )
+
+
+class TestAsReal:
+    def test_as_real_returns_python_floats(self):
+        value = 0.15
+        assert model.as_real("x", value) is value
+        for given in (np.float32(0.15), np.float64(0.15), 3, np.int64(3), np.uint8(3)):
+            converted = model.as_real("x", given)
+            assert type(converted) is float and converted == float(given)
+
+    @pytest.mark.parametrize("bad", ["0.1", b"0.1", None, True, False, np.True_, 0.1j, np.complex64(0.1), [0.1]])
+    def test_as_real_rejects_non_reals(self, bad):
+        with pytest.raises(ValueError, match=r"x must be a real number, got "):
+            model.as_real("x", bad)
 
 
 class TestCfoModel:
     def test_omega_max_is_two_pi_epsilon(self):
-        cfo = CfoModel.uniform(0.15)
+        cfo = CfoModel(CfoKind.UNIFORM, 0.15)
         assert cfo.omega_max == pytest.approx(2.0 * math.pi * 0.15, rel=1e-15)
 
     def test_constructors_set_kind(self):
-        assert CfoModel.uniform(0.1).kind is CfoKind.UNIFORM
-        assert CfoModel.gaussian(0.1).kind is CfoKind.GAUSSIAN
+        assert CfoModel(CfoKind.UNIFORM, 0.1).kind is CfoKind.UNIFORM
+        assert CfoModel(CfoKind.GAUSSIAN, 0.1).kind is CfoKind.GAUSSIAN
 
     @pytest.mark.parametrize("kind", list(CfoKind))
     def test_spelled_kind_is_stored_as_the_member(self, kind):
@@ -65,47 +79,50 @@ class TestCfoModel:
             CfoModel(bad, 0.15)
 
     # a string raised TypeError from the range comparison
-    @pytest.mark.parametrize("bad", [-0.01, math.nan, math.inf, math.nextafter(MAX_EPSILON, math.inf), "0.1"])
+    @pytest.mark.parametrize(
+        "bad",
+        [-0.01, math.nan, math.inf, math.nextafter(MAX_EPSILON, math.inf), "0.1", None, True, 0.1j, 10**400],
+    )
     def test_rejects_bad_epsilon(self, bad):
         with pytest.raises(ValueError):
-            CfoModel.uniform(bad)
+            CfoModel(CfoKind.UNIFORM, bad)
 
     def test_accepts_epsilon_up_to_bound(self):
-        assert CfoModel.gaussian(MAX_EPSILON).epsilon_max == 1e6
+        assert CfoModel(CfoKind.GAUSSIAN, MAX_EPSILON).epsilon_max == 1e6
         with pytest.raises(ValueError, match=r"\[0, 1e\+06\]"):
-            CfoModel.gaussian(1e300)
+            CfoModel(CfoKind.GAUSSIAN, 1e300)
 
     def test_draw_scale_is_omega_per_unit_draw(self):
-        assert CfoModel.uniform(0.15).draw_scale == CfoModel.uniform(0.15).omega_max
-        assert CfoModel.gaussian(0.15).draw_scale == CfoModel.gaussian(0.15).omega_max / 3.0
-        assert CfoModel.gaussian(0.0).draw_scale == 0.0
+        assert CfoModel(CfoKind.UNIFORM, 0.15).draw_scale == CfoModel(CfoKind.UNIFORM, 0.15).omega_max
+        assert CfoModel(CfoKind.GAUSSIAN, 0.15).draw_scale == CfoModel(CfoKind.GAUSSIAN, 0.15).omega_max / 3.0
+        assert CfoModel(CfoKind.GAUSSIAN, 0.0).draw_scale == 0.0
 
     def test_alpha_uniform_frozen_value(self):
-        assert CfoModel.uniform(0.15).alpha == pytest.approx(0.858393691334, rel=1e-11)
+        assert CfoModel(CfoKind.UNIFORM, 0.15).alpha == pytest.approx(0.858393691334, rel=1e-11)
 
     def test_alpha_gaussian_frozen_value(self):
-        assert CfoModel.gaussian(0.15).alpha == pytest.approx(0.951849807369, rel=1e-11)
+        assert CfoModel(CfoKind.GAUSSIAN, 0.15).alpha == pytest.approx(0.951849807369, rel=1e-11)
 
     def test_alpha_no_offset_gives_one(self):
-        assert CfoModel.uniform(0.0).alpha == 1.0
-        assert CfoModel.gaussian(0.0).alpha == 1.0
+        assert CfoModel(CfoKind.UNIFORM, 0.0).alpha == 1.0
+        assert CfoModel(CfoKind.GAUSSIAN, 0.0).alpha == 1.0
 
     @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3])
     def test_alpha_uniform_matches_quadrature(self, eps):
         """Closed form against direct numerical integration of E[cos(omega)]."""
         a = 2.0 * math.pi * eps
         expected, _ = integrate.quad(lambda w: math.cos(w) / (2.0 * a), -a, a)
-        assert CfoModel.uniform(eps).alpha == pytest.approx(expected, rel=1e-10)
+        assert CfoModel(CfoKind.UNIFORM, eps).alpha == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("eps", [0.05, 0.15, 0.3])
     def test_alpha_gaussian_matches_quadrature(self, eps):
         std = 2.0 * math.pi * eps / 3.0
         density = lambda w: math.exp(-0.5 * (w / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
         expected, _ = integrate.quad(lambda w: math.cos(w) * density(w), -10 * std, 10 * std)
-        assert CfoModel.gaussian(eps).alpha == pytest.approx(expected, rel=1e-10)
+        assert CfoModel(CfoKind.GAUSSIAN, eps).alpha == pytest.approx(expected, rel=1e-10)
 
     def test_alpha_decreases_with_spread(self):
-        values = [CfoModel.uniform(e).alpha for e in (0.0, 0.1, 0.2, 0.3, 0.4)]
+        values = [CfoModel(CfoKind.UNIFORM, e).alpha for e in (0.0, 0.1, 0.2, 0.3, 0.4)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     # alpha before it moved into CfoModel, as float.hex; the grid holds alpha ~ 4e-17
@@ -145,17 +162,17 @@ class TestCfoModel:
         assert alpha.hex() == bits
 
     def test_alpha_is_computed_once(self):
-        cfo = CfoModel.gaussian(0.15)
+        cfo = CfoModel(CfoKind.GAUSSIAN, 0.15)
         assert "alpha" not in vars(cfo)
         assert cfo.alpha is cfo.alpha
         assert vars(cfo)["alpha"] is cfo.alpha
-        assert cfo == CfoModel.gaussian(0.15) and hash(cfo) == hash(CfoModel.gaussian(0.15))
+        assert cfo == CfoModel(CfoKind.GAUSSIAN, 0.15) and hash(cfo) == hash(CfoModel(CfoKind.GAUSSIAN, 0.15))
 
 
 class TestDrawCfos:
     def test_uniform_respects_bounds(self):
         rng = np.random.default_rng(11)
-        cfo = CfoModel.uniform(0.15)
+        cfo = CfoModel(CfoKind.UNIFORM, 0.15)
         omegas = draw_cfos(cfo, 100_000, rng)
         assert omegas.shape == (100_000,)
         assert np.all(np.abs(omegas) <= cfo.omega_max)
@@ -163,7 +180,7 @@ class TestDrawCfos:
     def test_uniform_phasor_mean_matches_sinc(self):
         """The empirical mean of e^{j omega} estimates sin(a)/a for uniform offsets."""
         rng = np.random.default_rng(12)
-        cfo = CfoModel.uniform(0.15)
+        cfo = CfoModel(CfoKind.UNIFORM, 0.15)
         omegas = draw_cfos(cfo, 200_000, rng)
         phasor_mean = np.exp(1j * omegas).mean()
         a = cfo.omega_max
@@ -175,7 +192,7 @@ class TestDrawCfos:
 
     def test_gaussian_std_is_third_of_omega_max(self):
         rng = np.random.default_rng(13)
-        cfo = CfoModel.gaussian(0.15)
+        cfo = CfoModel(CfoKind.GAUSSIAN, 0.15)
         omegas = draw_cfos(cfo, 200_000, rng)
         target = cfo.omega_max / 3.0
         assert abs(omegas.mean()) < 5 * target / math.sqrt(omegas.size)
@@ -184,23 +201,23 @@ class TestDrawCfos:
     def test_gaussian_is_untruncated(self):
         """About 0.27% of draws should exceed the nominal worst case (3 sigma)."""
         rng = np.random.default_rng(14)
-        cfo = CfoModel.gaussian(0.15)
+        cfo = CfoModel(CfoKind.GAUSSIAN, 0.15)
         omegas = draw_cfos(cfo, 100_000, rng)
         assert np.count_nonzero(np.abs(omegas) > cfo.omega_max) > 0
 
     def test_none_and_zero_epsilon_give_zero_offsets(self):
         rng = np.random.default_rng(15)
-        assert np.all(draw_cfos(CfoModel.uniform(0.0), 50, rng) == 0.0)
-        assert np.all(draw_cfos(CfoModel.gaussian(0.0), 50, rng) == 0.0)
+        assert np.all(draw_cfos(CfoModel(CfoKind.UNIFORM, 0.0), 50, rng) == 0.0)
+        assert np.all(draw_cfos(CfoModel(CfoKind.GAUSSIAN, 0.0), 50, rng) == 0.0)
 
     def test_empty_draw(self):
         rng = np.random.default_rng(16)
-        assert draw_cfos(CfoModel.uniform(0.1), 0, rng).shape == (0,)
+        assert draw_cfos(CfoModel(CfoKind.UNIFORM, 0.1), 0, rng).shape == (0,)
 
     def test_negative_count_rejected(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
-            draw_cfos(CfoModel.uniform(0.1), -1, rng)
+            draw_cfos(CfoModel(CfoKind.UNIFORM, 0.1), -1, rng)
 
 
 class TestSystemConfig:
@@ -227,6 +244,10 @@ class TestSystemConfig:
             dict(noise_variance=math.nextafter(MAX_NOISE_VARIANCE, math.inf)),
             # a string raised TypeError from the range comparison
             dict(noise_variance="0.1"),
+            dict(noise_variance=None),
+            dict(noise_variance=True),
+            dict(noise_variance=np.complex128(0.1)),
+            dict(noise_variance=10**400),
             # M = 10^400 overflowed in standard_gamma, and M = 2^1023 overflowed
             # P * Gamma(M) to inf, both mid-run
             dict(m_antennas=MAX_ANTENNAS + 1),
@@ -244,14 +265,15 @@ class TestSystemConfig:
             k_active=25,
             m_antennas=32,
             noise_variance=0.1,
-            cfo=CfoModel.uniform(0.15),
+            cfo=CfoModel(CfoKind.UNIFORM, 0.15),
         )
         base.update(kwargs)
         with pytest.raises(ValueError):
             SystemConfig(**base)
 
     @pytest.mark.parametrize(
-        "field,value", [("n_potential", 100.5), ("k_active", 2.5), ("m_antennas", 2.5)]
+        "field,value",
+        [("n_potential", 100.5), ("k_active", 2.5), ("m_antennas", 2.5), ("k_active", True)],
     )
     def test_rejects_non_integer_counts(self, field, value):
         """A float count fails at construction instead of simulating a fractional system."""
@@ -314,7 +336,7 @@ class TestGenerateReceived:
             k_active=1,
             m_antennas=16,
             noise_variance=0.1,
-            cfo=CfoModel.uniform(0.15),
+            cfo=CfoModel(CfoKind.UNIFORM, 0.15),
         )
         pilot = generate_received(cfg, np.random.default_rng(23), with_noise=False)
         ratio = pilot[1] / pilot[0]
@@ -327,7 +349,7 @@ class TestGenerateReceived:
             k_active=0,
             m_antennas=8,
             noise_variance=0.1,
-            cfo=CfoModel.uniform(0.15),
+            cfo=CfoModel(CfoKind.UNIFORM, 0.15),
         )
         pilot = generate_received(cfg, np.random.default_rng(24), with_noise=False)
         np.testing.assert_array_equal(pilot, np.zeros((2, 8), dtype=complex))
@@ -339,7 +361,7 @@ class TestGenerateReceived:
             k_active=0,
             m_antennas=64,
             noise_variance=0.5,
-            cfo=CfoModel.uniform(0.0),
+            cfo=CfoModel(CfoKind.UNIFORM, 0.0),
         )
         rng = np.random.default_rng(25)
         powers = [np.mean(np.abs(generate_received(cfg, rng)) ** 2) for _ in range(200)]
@@ -404,7 +426,7 @@ class TestSampleWishart:
             z = (sample.mean() - target) / (sample.std(ddof=1) / math.sqrt(trials))
             assert abs(z) < 5.0, f"{name} off by {z:+.2f} standard errors"
 
-    @pytest.mark.parametrize("cfo", [CfoModel.uniform(0.3), CfoModel.gaussian(0.3)], ids=["uniform", "gaussian"])
+    @pytest.mark.parametrize("cfo", [CfoModel(CfoKind.UNIFORM, 0.3), CfoModel(CfoKind.GAUSSIAN, 0.3)], ids=["uniform", "gaussian"])
     @pytest.mark.parametrize("m", [1, 2, 32])
     def test_distribution_matches_direct_model(self, m, cfo):
         """Two-sample KS of every entry against sample_covariance(generate_received(...))."""
@@ -427,7 +449,7 @@ class TestSampleWishart:
 
     def test_single_antenna_is_rank_one(self):
         """At M = 1, a22 = 0 and R = x x^H exactly, so r1 r2 = |r12|^2."""
-        cfg = _ks_config(1, CfoModel.uniform(0.3))
+        cfg = _ks_config(1, CfoModel(CfoKind.UNIFORM, 0.3))
         cov = sample_wishart(cfg, 1000, np.random.default_rng(7204))
         np.testing.assert_allclose(cov.r1 * cov.r2, np.abs(cov.r12) ** 2, rtol=1e-12)
 
@@ -445,7 +467,7 @@ class TestSampleWishart:
         cfgs = [
             BASE_CFG,
             dataclasses.replace(BASE_CFG, k_active=3, m_antennas=1, noise_variance=2.5),
-            dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.4), m_antennas=7),
+            dataclasses.replace(BASE_CFG, cfo=CfoModel(CfoKind.GAUSSIAN, 0.4), m_antennas=7),
         ]
         sizes = [37, 5, 20]
         parts = []
@@ -499,10 +521,10 @@ class TestCountLaw:
     """
 
     POINTS = {
-        "K=N=2,M=1": SystemConfig(2, 2, 1, 0.1, CfoModel.uniform(0.3)),
-        "K=N=8,M=2,tiny-noise": SystemConfig(8, 8, 2, 1e-6, CfoModel.gaussian(0.2)),
-        "K=3,M=4,large-noise": SystemConfig(10, 3, 4, 100.0, CfoModel.uniform(0.15)),
-        "alpha-near-limit": SystemConfig(10, 4, 8, 0.1, CfoModel.uniform(0.49925)),
+        "K=N=2,M=1": SystemConfig(2, 2, 1, 0.1, CfoModel(CfoKind.UNIFORM, 0.3)),
+        "K=N=8,M=2,tiny-noise": SystemConfig(8, 8, 2, 1e-6, CfoModel(CfoKind.GAUSSIAN, 0.2)),
+        "K=3,M=4,large-noise": SystemConfig(10, 3, 4, 100.0, CfoModel(CfoKind.UNIFORM, 0.15)),
+        "alpha-near-limit": SystemConfig(10, 4, 8, 0.1, CfoModel(CfoKind.UNIFORM, 0.49925)),
     }
 
     @pytest.mark.parametrize("index,name", enumerate(POINTS), ids=list(POINTS))
@@ -586,12 +608,12 @@ class TestDrawWishart:
         assert large.g.tobytes() == np.cumsum(phasors, axis=0)[-1].tobytes()
 
     def test_zero_offsets_sum_to_k_exactly(self):
-        (out,) = _drawn([dataclasses.replace(BASE_CFG, cfo=CfoModel.uniform(0.0))], 20, 7303)
+        (out,) = _drawn([dataclasses.replace(BASE_CFG, cfo=CfoModel(CfoKind.UNIFORM, 0.0))], 20, 7303)
         assert np.all(out.g == BASE_CFG.k_active)
 
     @pytest.mark.parametrize("chunk", [1, 300, 2**20])
     def test_chunks_change_no_bit(self, monkeypatch, chunk):
-        cfgs = [BASE_CFG, dataclasses.replace(BASE_CFG, k_active=13, cfo=CfoModel.uniform(0.4))]
+        cfgs = [BASE_CFG, dataclasses.replace(BASE_CFG, k_active=13, cfo=CfoModel(CfoKind.UNIFORM, 0.4))]
         expected = _drawn(cfgs, 40, 7304)
         monkeypatch.setattr(model, "CHUNK_DRAWS", chunk)
         for out, want in zip(_drawn(cfgs, 40, 7304), expected):
@@ -641,7 +663,7 @@ class TestDrawWishart:
 
     def test_rejects_configurations_that_cannot_share(self):
         with pytest.raises(ValueError, match="share the CFO kind"):
-            _drawn([BASE_CFG, dataclasses.replace(BASE_CFG, cfo=CfoModel.gaussian(0.15))], 4, 7305)
+            _drawn([BASE_CFG, dataclasses.replace(BASE_CFG, cfo=CfoModel(CfoKind.GAUSSIAN, 0.15))], 4, 7305)
 
     @pytest.mark.parametrize("streams", [1, 3])
     def test_rejects_a_generator_count_that_does_not_cover_the_record(self, streams):
@@ -754,7 +776,7 @@ class TestUnitPhasors:
         step = 2.0 * math.pi / 4096
         k = np.array([0.0, 1.0, 2.0, 511.0, 512.0, 1024.0, 2047.0, 2048.0, 4095.0, 4096.0, 1e9])
         omega = np.concatenate([k * step, (k + 0.5) * step, [math.pi / 2, math.pi, 2.0 * math.pi]])
-        omega = np.concatenate([omega, -omega, [CfoModel.uniform(MAX_EPSILON).omega_max]])
+        omega = np.concatenate([omega, -omega, [CfoModel(CfoKind.UNIFORM, MAX_EPSILON).omega_max]])
         assert self._ulps(1.0, omega).max() <= 8.0
 
     @pytest.mark.parametrize("kind", [CfoKind.UNIFORM, CfoKind.GAUSSIAN])
@@ -786,7 +808,7 @@ class TestUnitPhasors:
 
     @pytest.mark.parametrize(
         "k,trials,cfo,parent_kib",
-        [(25, 256, CfoModel.uniform(0.15), 306.4), (50, 100, CfoModel.gaussian(0.15), 238.4)],
+        [(25, 256, CfoModel(CfoKind.UNIFORM, 0.15), 306.4), (50, 100, CfoModel(CfoKind.GAUSSIAN, 0.15), 238.4)],
         ids=["uniform-25x256", "gaussian-50x100"],
     )
     def test_block_memory(self, k, trials, cfo, parent_kib):

@@ -136,7 +136,7 @@ def _cli(argv):
     seed=seeds,
 )
 def test_alpha_near_zero_stops_eig_diff_only(eps, n, m, snr_db, trials, seed):
-    assert CfoModel.uniform(eps).alpha <= ALPHA_MIN
+    assert CfoModel(CfoKind.UNIFORM, eps).alpha <= ALPHA_MIN
     argv = ["run", f"--n={n}", f"--k={n}", f"--m={m}", f"--snr-db={snr_db!r}", f"--eps-max={eps!r}",
             f"--trials={trials}", f"--seed={seed}"]
     code, out, err = _cli(argv)

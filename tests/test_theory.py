@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from auesim.model import CfoModel, SystemConfig
+from auesim.model import CfoKind, CfoModel, SystemConfig
 from auesim.theory import MAX_POWER, nrmse_eig_sum_theory
 
 from oracles import CovarianceMoments, generate_received, moment_oracles, sample_covariance
@@ -58,6 +58,14 @@ class TestNrmseTheory:
             dict(m_antennas=math.inf),
             dict(m_antennas=32.5),
             dict(m_antennas="32"),
+            dict(k_active=True),
+            # a string or None raised TypeError, and 10^400 OverflowError, from math.isfinite
+            dict(noise_variance="0.1"),
+            dict(noise_variance=None),
+            dict(noise_variance=10**400),
+            dict(alpha="0.9"),
+            dict(alpha=True),
+            dict(alpha=0.9 + 0j),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
@@ -102,7 +110,7 @@ class TestMomentOracles:
             k_active=25,
             m_antennas=32,
             noise_variance=0.1,
-            cfo=CfoModel.uniform(0.15),
+            cfo=CfoModel(CfoKind.UNIFORM, 0.15),
         )
         alpha = cfg.cfo.alpha
         oracle = moment_oracles(25, 0.1, alpha, cfg.m_antennas)
@@ -124,6 +132,8 @@ class TestMomentOracles:
             dict(k_active=math.nan),
             dict(k_active=2.5),
             dict(m_antennas=2.5),
+            dict(noise_variance="0.1"),
+            dict(alpha=None),
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
